@@ -26,8 +26,10 @@ from .numerics import Quadrature, bessel_j, integrate_radial, svd_spectrum
 from .oam import (
     RadialField,
     TxProfile,
+    mode_energies,
     mode_energy,
     path_gain,
+    path_gains,
     rx_field_radial,
     topological_charge,
     tx_profile,
@@ -60,8 +62,10 @@ __all__ = [
     "svd_spectrum",
     "RadialField",
     "TxProfile",
+    "mode_energies",
     "mode_energy",
     "path_gain",
+    "path_gains",
     "rx_field_radial",
     "topological_charge",
     "tx_profile",

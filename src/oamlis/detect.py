@@ -29,7 +29,7 @@ from scipy.special import erfc
 from scipy.stats import chi2, ncx2
 
 from .geometry import Scenario
-from .oam import default_radial_grid, mode_energy, mode_index, rx_field_radial, topological_charge
+from .oam import default_radial_grid, mode_energies, mode_index, rx_field_radial, topological_charge
 
 #: Default radial slot width for noise synthesis, as a wavelength fraction.
 SLOT_WAVELENGTH_FRACTION = 0.25
@@ -399,14 +399,10 @@ def link_symbol_energy(
     allocation), so E_s is the sum of the per-mode received energies.  The
     link SNR is E_s/N0.
     """
-    cache: dict[int, float] = {}
     total = 0.0
-    for ell in mode_set:
-        key = abs(int(ell))
-        if key not in cache:
-            cache[key] = mode_energy(mode_index(key), scenario, focused)
-        total += cache[key]
-    return total
+    for energy in mode_energies(scenario, mode_set, (focused,))[0]:
+        total += energy
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,23 @@ import numpy as np
 from .detect import DetectorConfig, ber_monte_carlo, link_symbol_energy, tnr_sweep
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
-from .oam import emit_profile_grids, mode_energy, mode_index, path_gain, rx_field_radial
+from .oam import (
+    emit_profile_grids,
+    mode_energies,
+    mode_index,
+    path_gains,
+    rx_field_radial,
+    topological_charge,
+)
 
 #: Geometry presets (normalized T, R) for the distance sweeps.
 PRESETS = {"equal": (10.0, 10.0), "downlink": (25.0, 5.0), "uplink": (5.0, 25.0)}
 
 #: Upper bound on the coupling-matrix size assembled in one piece.
 _MATRIX_BUDGET_BYTES = 2 * 1024**3
+
+#: Focus states of the OAM rows, in output order.
+_FOCUS_STATES = (False, True)
 
 KINDS = ("spectrum", "dof_vs_distance", "path_gain", "ber", "tnr", "profiles")
 
@@ -242,23 +252,15 @@ def _check_matrix_budget(scenario: Scenario, spacing_m: float) -> None:
         )
 
 
-def _oam_energy_spectrum(scenario, focused, max_charge):
-    """Energies of modes 1 .. 2*max_charge+1 in standard order."""
-    per_charge = {
-        ell: mode_energy(mode_index(ell), scenario, focused)
-        for ell in range(max_charge + 1)
-    }
+def _oam_energy_spectrum(scenario, max_charge):
+    """Energies of modes 1 .. 2*max_charge+1 in standard order.
+
+    Returns the mode indices and an array with one row per focus state,
+    unfocused first.
+    """
     n_list = list(range(1, 2 * max_charge + 2))
-    energies = np.array(
-        [per_charge[abs(_charge_of(n))] for n in n_list]
-    )
-    return n_list, energies
-
-
-def _charge_of(n: int) -> int:
-    if n == 1:
-        return 0
-    return n // 2 if n % 2 == 0 else -(n - 1) // 2
+    charges = [topological_charge(n).ell for n in n_list]
+    return n_list, mode_energies(scenario, charges, _FOCUS_STATES)
 
 
 def _sorted_energy_spectrum(energies) -> ModeSpectrum:
@@ -291,9 +293,9 @@ def run_spectrum(config: ExperimentConfig):
         rows.append((index + 1, xi, 20 * np.log10(xi / svd.reference), "svd"))
 
     counts = {"svd": count_modes(svd, config.threshold_db)}
-    for focused in (False, True):
+    n_list, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
+    for focused, energies in zip(_FOCUS_STATES, per_focus):
         label = "oam_focused" if focused else "oam_unfocused"
-        n_list, energies = _oam_energy_spectrum(scenario, focused, config.max_charge)
         counts[label] = count_modes(
             _sorted_energy_spectrum(energies), config.threshold_db, reference=xi1_sq
         )
@@ -333,9 +335,9 @@ def run_dof_vs_distance(config: ExperimentConfig):
             xi1_sq = svd.reference**2
             rows.append((distance, preset, "analytic", analytic_dof(scenario)))
             rows.append((distance, preset, "svd", count_modes(svd, config.threshold_db)))
-            for focused in (False, True):
+            _, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
+            for focused, energies in zip(_FOCUS_STATES, per_focus):
                 label = "oam_focused" if focused else "oam_unfocused"
-                _, energies = _oam_energy_spectrum(scenario, focused, config.max_charge)
                 count = count_modes(
                     _sorted_energy_spectrum(energies),
                     config.threshold_db,
@@ -354,9 +356,9 @@ def run_path_gain(config: ExperimentConfig):
     for preset, (T, R) in _preset_list(config):
         for distance in config.distances:
             scenario = config.scenario(T=T, R=R, D=distance)
-            for focused in (False, True):
+            gains = path_gains(scenario, config.n_modes, _FOCUS_STATES)
+            for focused, eta in zip(_FOCUS_STATES, gains):
                 label = "focused" if focused else "unfocused"
-                eta = path_gain(scenario, config.n_modes, focused)
                 rows.append((distance, preset, label, eta, 10 * np.log10(eta)))
     path = Path(config.out) / "path_gain.csv"
     columns = ("distance", "preset", "label", "eta", "eta_db")

@@ -169,30 +169,46 @@ def rx_field_radial(
         RadialField on the requested grid.
     """
     ell = topological_charge(n).ell
+    grid = _checked_radial_grid(scenario, grid)
+    (samples,) = _radial_samples(ell, scenario, grid, (focused,))
+    return RadialField(radii=grid, samples=samples, mode_index=n, focused=focused)
+
+
+def _checked_radial_grid(scenario: Scenario, grid: np.ndarray | None) -> np.ndarray:
     if grid is None:
-        grid = default_radial_grid(scenario)
+        return default_radial_grid(scenario)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
         raise ValueError("radial grid must lie within [0, R_R]")
+    return grid
 
+
+def _radial_samples(ell: int, scenario: Scenario, grid: np.ndarray, focus_states) -> list:
+    """Radial factor psi^rho of charge ``ell`` on ``grid``, one per focus state.
+
+    The Bessel kernel J_l(kappa rho_R rho_T / z) does not depend on the
+    focus state, so it is built once and integrated against each chirp.
+    """
     z = scenario.distance
     kappa = scenario.kappa
     r_t = scenario.radius_tx
     panels = panels_for_step(r_t, scenario.wavelength * QUADRATURE_STEP_FRACTION)
     rho_t = np.linspace(0.0, r_t, panels + 1)
-
-    if focused:
-        chirp = np.ones_like(rho_t, dtype=complex)
-    else:
-        chirp = np.exp(-1j * kappa * rho_t**2 / (2 * z))
     kernel = bessel_j(ell, kappa * np.outer(grid, rho_t) / z)
-    integral = np.trapezoid(rho_t[None, :] * chirp[None, :] * kernel, rho_t, axis=1)
 
     # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
     unit = (1.0, 1j, -1.0, -1j)[ell % 4]
     prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
     phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    return RadialField(radii=grid, samples=prefactor * phase * integral, mode_index=n, focused=focused)
+    samples = []
+    for focused in focus_states:
+        if focused:
+            chirp = np.ones_like(rho_t, dtype=complex)
+        else:
+            chirp = np.exp(-1j * kappa * rho_t**2 / (2 * z))
+        integral = np.trapezoid(rho_t[None, :] * chirp[None, :] * kernel, rho_t, axis=1)
+        samples.append(prefactor * phase * integral)
+    return samples
 
 
 def focused_fundamental_profile(scenario: Scenario, grid: np.ndarray) -> np.ndarray:
@@ -270,12 +286,45 @@ def mode_energy(
     does not carry it.
     """
     field = rx_field_radial(n, scenario, focused, grid)
-    return float(
-        2 * np.pi * np.trapezoid(np.abs(field.samples) ** 2 * field.radii, field.radii)
-    )
+    return _energy(field.samples, field.radii)
 
 
-def path_gain(scenario: Scenario, n_modes: int, focused: bool) -> float:
+def _energy(samples: np.ndarray, radii: np.ndarray) -> float:
+    return float(2 * np.pi * np.trapezoid(np.abs(samples) ** 2 * radii, radii))
+
+
+def mode_energies(
+    scenario: Scenario,
+    charges,
+    focused=(False, True),
+    grid: np.ndarray | None = None,
+) -> np.ndarray:
+    """Received energies of several charges and focus states.
+
+    Bitwise equal to :func:`mode_energy` of each (charge, focus state), but
+    builds one Bessel kernel per distinct |l|: the kernel serves every
+    focus state, and E_l = E_{-l} exactly.
+
+    Args:
+        scenario: link geometry.
+        charges: signed topological charges, repeats allowed.
+        focused: focus states to evaluate, in output row order.
+        grid: radial evaluation points, as for :func:`rx_field_radial`.
+
+    Returns:
+        Array of shape (len(focused), len(charges)).
+    """
+    charges = np.array([int(ell) for ell in charges], dtype=int)
+    grid = _checked_radial_grid(scenario, grid)
+    energies = np.empty((len(focused), len(charges)))
+    for ell in np.unique(np.abs(charges)):
+        same = np.abs(charges) == ell
+        for row, samples in enumerate(_radial_samples(int(ell), scenario, grid, focused)):
+            energies[row, same] = _energy(samples, grid)
+    return energies
+
+
+def path_gains(scenario: Scenario, n_modes: int, focused=(False, True)) -> np.ndarray:
     """Total received over transmitted energy for an N-mode superposition.
 
     With unit-energy bases and equal power allocation the transmitted
@@ -285,21 +334,23 @@ def path_gain(scenario: Scenario, n_modes: int, focused: bool) -> float:
     Args:
         scenario: link geometry.
         n_modes: number of multiplexed modes, odd, >= 1.
-        focused: transmit focusing on/off.
+        focused: focus states to evaluate.
 
     Returns:
-        Path gain in (0, 1].
+        Path gains in (0, 1], one per focus state.
     """
     if n_modes < 1 or n_modes % 2 == 0:
         raise ValueError("n_modes must be odd and >= 1")
-    cache: dict[int, float] = {}
-    total = 0.0
-    for n in range(1, n_modes + 1):
-        ell = abs(topological_charge(n).ell)
-        if ell not in cache:
-            cache[ell] = mode_energy(mode_index(ell), scenario, focused)
-        total += cache[ell]
-    return total / n_modes
+    charges = [topological_charge(n).ell for n in range(1, n_modes + 1)]
+    energies = mode_energies(scenario, charges, focused)
+    # Running sum in mode order: the rounding of a plain loop, not numpy's
+    # pairwise blocks.
+    return np.cumsum(energies, axis=1)[:, -1] / n_modes
+
+
+def path_gain(scenario: Scenario, n_modes: int, focused: bool) -> float:
+    """Path gain of one focus state; see :func:`path_gains`."""
+    return float(path_gains(scenario, n_modes, (focused,))[0])
 
 
 def emit_profile_grids(

@@ -36,9 +36,10 @@ from oamlis.numerics import Quadrature, integrate_radial
 from oamlis.oam import (
     default_radial_grid,
     focused_fundamental_profile,
+    mode_energies,
     mode_energy,
     mode_index,
-    path_gain,
+    path_gains,
     rx_field_radial,
     tx_profile,
 )
@@ -63,12 +64,11 @@ def svd_runs():
     return runs
 
 
-def oam_count(scenario, focused, threshold_db, reference, max_charge=15):
-    """Well-coupled OAM mode count against a common reference intensity."""
-    per_charge = [mode_energy(mode_index(ell), scenario, focused) for ell in range(max_charge + 1)]
-    energies = [per_charge[0]] + [e for e in per_charge[1:] for _ in range(2)]
-    spectrum = ModeSpectrum(values=np.sort(energies)[::-1], scale="energy")
-    return count_modes(spectrum, threshold_db, reference=reference)
+def oam_counts(scenario, threshold_db, reference, max_charge=15):
+    """Well-coupled OAM mode counts, (unfocused, focused), against a common reference."""
+    energies = mode_energies(scenario, range(-max_charge, max_charge + 1), (False, True))
+    spectra = [ModeSpectrum(values=np.sort(row)[::-1], scale="energy") for row in energies]
+    return tuple(count_modes(s, threshold_db, reference=reference) for s in spectra)
 
 
 def test_criterion_01_analytic_dof_tracking(svd_runs):
@@ -87,8 +87,7 @@ def test_criterion_02_mode_count_triple(svd_runs):
     scenario, spectrum, _ = svd_runs[50.0]
     reference = spectrum.reference**2
     svd_count = count_modes(spectrum, -5.0)
-    unfocused = oam_count(scenario, False, -5.0, reference)
-    focused = oam_count(scenario, True, -5.0, reference)
+    unfocused, focused = oam_counts(scenario, -5.0, reference)
     ok = 37 <= svd_count <= 43 and 9 <= unfocused <= 11 and 16 <= focused <= 20
     report(2, ok, f"svd {svd_count} (40+/-3), unfocused {unfocused} (10+/-1), focused {focused} (18+/-2)")
     assert ok
@@ -309,15 +308,18 @@ def test_criterion_09_energy_detector_thresholds():
     assert ok
 
 
+def focus_gap_db(scenario, n_modes=51):
+    """Path gain with transmit focusing over the gain without, in dB."""
+    unfocused, focused = path_gains(scenario, n_modes, (False, True))
+    return 10 * math.log10(focused / unfocused)
+
+
 def test_criterion_10_path_gain_presets():
-    downlink = Scenario.normalized(25, 5, 100)
-    gap = 10 * math.log10(path_gain(downlink, 51, True) / path_gain(downlink, 51, False))
+    gap = focus_gap_db(Scenario.normalized(25, 5, 100))
     downlink_ok = 14.0 <= gap <= 20.0
     worst = 0.0
     for distance in (50.0, 100.0, 200.0, 350.0, 500.0):
-        uplink = Scenario.normalized(5, 25, distance)
-        up_gap = 10 * math.log10(path_gain(uplink, 51, True) / path_gain(uplink, 51, False))
-        worst = max(worst, abs(up_gap))
+        worst = max(worst, abs(focus_gap_db(Scenario.normalized(5, 25, distance))))
     uplink_ok = worst < 0.5
     ok = downlink_ok and uplink_ok
     report(10, ok, f"downlink focus gap {gap:.2f} dB in 17+/-3, worst uplink gap {worst:.3f} dB < 0.5")

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oamlis import Scenario
+from oamlis import Scenario, modes
 from oamlis.modes import (
     ModeSpectrum,
     SurfaceGrid,
@@ -14,6 +16,7 @@ from oamlis.modes import (
     green,
     svd_mode_spectrum,
 )
+from oamlis.numerics import svd_spectrum
 
 
 def test_disk_grid_weights_sum_to_disk_area():
@@ -34,6 +37,14 @@ def test_disk_grid_validation():
         disk_grid(1.0, 0.0)
     with pytest.raises(ValueError):
         disk_grid(0.0, 0.1)
+
+
+@given(radius=st.floats(0.05, 2.0), cells=st.floats(0.8, 30.0))
+def test_disk_grid_is_closed_under_quarter_turn(radius, cells):
+    g = disk_grid(radius, radius / cells)
+    turned = np.column_stack([-g.points[:, 1], g.points[:, 0]])
+    assert len(g) % 4 == 0
+    assert set(map(tuple, turned)) == set(map(tuple, g.points))
 
 
 def test_surface_grid_rejects_bad_inputs():
@@ -165,3 +176,35 @@ def test_svd_mode_spectrum_shape_and_count_stability():
     assert np.all(np.diff(half.values) <= 0)
     # refining the lattice may shift the -5 dB count by at most one
     assert abs(count_modes(half, -5.0) - count_modes(third, -5.0)) <= 1
+
+
+@given(
+    T=st.floats(1.0, 4.0),
+    R=st.floats(1.0, 4.0),
+    D=st.floats(5.0, 80.0),
+    pitch=st.sampled_from((1 / 2, 1 / 3, 0.4137)),
+)
+def test_blocked_spectrum_matches_full_lattice_svd(T, R, D, pitch):
+    s = Scenario.normalized(T, R, D)
+    spacing = pitch * s.wavelength
+    grid_t = disk_grid(s.radius_tx, spacing)
+    grid_r = disk_grid(s.radius_rx, spacing)
+    full = ModeSpectrum(
+        values=svd_spectrum(coupling_matrix(grid_t, grid_r, s.kappa, s.distance)),
+        scale="amplitude",
+    )
+    blocked = svd_mode_spectrum(s, spacing)
+    assert blocked.values.shape == full.values.shape
+    assert np.max(np.abs(blocked.values - full.values)) <= 1e-12 * full.reference
+    assert count_modes(blocked, -5.0) == count_modes(full, -5.0)
+
+
+def test_svd_mode_spectrum_rejects_grid_without_quarter_turn_symmetry(monkeypatch):
+    def shifted_grid(radius, spacing):
+        g = disk_grid(radius, spacing)
+        shifted = 0.9 * g.points + 0.01 * spacing
+        return SurfaceGrid(points=shifted, weights=g.weights, radius=radius)
+
+    monkeypatch.setattr(modes, "disk_grid", shifted_grid)
+    with pytest.raises(ValueError, match="quarter-turn"):
+        svd_mode_spectrum(Scenario.normalized(3, 3, 30))

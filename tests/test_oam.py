@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oamlis import Scenario
 from oamlis.numerics import Quadrature, integrate_radial
@@ -12,6 +12,7 @@ from oamlis.oam import (
     default_radial_grid,
     emit_profile_grids,
     focused_fundamental_profile,
+    mode_energies,
     mode_energy,
     mode_index,
     path_gain,
@@ -114,6 +115,17 @@ def test_frozen_mode_energies():
     s = Scenario.normalized(10, 10, 100, wavelength=1.0)
     for ell, expected in FROZEN_ENERGIES.items():
         assert_allclose(mode_energy(mode_index(ell), s, True), expected, rtol=1e-6)
+
+
+def test_mode_energies_bitwise_equal_to_mode_energy():
+    s = Scenario.normalized(6, 3, 40)
+    charges = list(range(-6, 7))
+    expected = [[mode_energy(mode_index(ell), s, f) for ell in charges] for f in (False, True)]
+    assert_array_equal(mode_energies(s, charges), expected)
+    assert_array_equal(mode_energies(s, charges, (True,)), expected[1:])
+    grid = np.linspace(0.0, s.radius_rx, 200)
+    expected = [[mode_energy(mode_index(ell), s, False, grid) for ell in (2, -3)]]
+    assert_array_equal(mode_energies(s, (2, -3), (False,), grid), expected)
 
 
 def test_mode_energy_scales_with_wavelength_squared():
