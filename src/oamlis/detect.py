@@ -399,10 +399,9 @@ def link_symbol_energy(
     allocation), so E_s is the sum of the per-mode received energies.  The
     link SNR is E_s/N0.
     """
-    total = 0.0
-    for energy in mode_energies(scenario, mode_set, (focused,))[0]:
-        total += energy
-    return float(total)
+    energies = mode_energies(scenario, mode_set, (focused,))
+    # Running sum in mode order, as in path_gains.
+    return float(np.cumsum(energies, axis=1)[0, -1])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ Configs serialize to a flat ``key = value`` text format; see
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .detect import DetectorConfig, ber_monte_carlo, link_symbol_energy, tnr_swe
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
 from .oam import (
+    FOCUS_STATES,
     emit_profile_grids,
     mode_energies,
     mode_index,
@@ -33,12 +33,6 @@ from .oam import (
 
 #: Geometry presets (normalized T, R) for the distance sweeps.
 PRESETS = {"equal": (10.0, 10.0), "downlink": (25.0, 5.0), "uplink": (5.0, 25.0)}
-
-#: Upper bound on the coupling-matrix size assembled in one piece.
-_MATRIX_BUDGET_BYTES = 2 * 1024**3
-
-#: Focus states of the OAM rows, in output order.
-_FOCUS_STATES = (False, True)
 
 KINDS = ("spectrum", "dof_vs_distance", "path_gain", "ber", "tnr", "profiles")
 
@@ -238,20 +232,6 @@ def _write_csv(path: Path, columns, rows, config: ExperimentConfig, extra: dict 
     return path
 
 
-def _check_matrix_budget(scenario: Scenario, spacing_m: float) -> None:
-    # Cell count of each disk lattice, conservatively by area.
-    n_t = math.pi * scenario.radius_tx**2 / spacing_m**2
-    n_r = math.pi * scenario.radius_rx**2 / spacing_m**2
-    required = 16 * n_t * n_r
-    if required > _MATRIX_BUDGET_BYTES:
-        factor = (required / _MATRIX_BUDGET_BYTES) ** 0.25
-        suggestion = spacing_m * factor / scenario.wavelength
-        raise MemoryError(
-            f"coupling matrix would need {required / 1024**3:.1f} GiB; "
-            f"increase the lattice pitch to at least {suggestion:.3g} wavelengths"
-        )
-
-
 def _oam_energy_spectrum(scenario, max_charge):
     """Energies of modes 1 .. 2*max_charge+1 in standard order.
 
@@ -260,7 +240,7 @@ def _oam_energy_spectrum(scenario, max_charge):
     """
     n_list = list(range(1, 2 * max_charge + 2))
     charges = [topological_charge(n).ell for n in n_list]
-    return n_list, mode_energies(scenario, charges, _FOCUS_STATES)
+    return n_list, mode_energies(scenario, charges)
 
 
 def _sorted_energy_spectrum(energies) -> ModeSpectrum:
@@ -282,7 +262,6 @@ def run_spectrum(config: ExperimentConfig):
     """
     scenario = config.scenario()
     spacing_m = config.spacing * config.wavelength
-    _check_matrix_budget(scenario, spacing_m)
     svd = svd_mode_spectrum(scenario, spacing_m)
     xi1_sq = svd.reference**2
 
@@ -294,7 +273,7 @@ def run_spectrum(config: ExperimentConfig):
 
     counts = {"svd": count_modes(svd, config.threshold_db)}
     n_list, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
-    for focused, energies in zip(_FOCUS_STATES, per_focus):
+    for focused, energies in zip(FOCUS_STATES, per_focus):
         label = "oam_focused" if focused else "oam_unfocused"
         counts[label] = count_modes(
             _sorted_energy_spectrum(energies), config.threshold_db, reference=xi1_sq
@@ -330,13 +309,12 @@ def run_dof_vs_distance(config: ExperimentConfig):
     for preset, (T, R) in _preset_list(config):
         for distance in config.distances:
             scenario = config.scenario(T=T, R=R, D=distance)
-            _check_matrix_budget(scenario, spacing_m)
             svd = svd_mode_spectrum(scenario, spacing_m)
             xi1_sq = svd.reference**2
             rows.append((distance, preset, "analytic", analytic_dof(scenario)))
             rows.append((distance, preset, "svd", count_modes(svd, config.threshold_db)))
             _, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
-            for focused, energies in zip(_FOCUS_STATES, per_focus):
+            for focused, energies in zip(FOCUS_STATES, per_focus):
                 label = "oam_focused" if focused else "oam_unfocused"
                 count = count_modes(
                     _sorted_energy_spectrum(energies),
@@ -356,8 +334,8 @@ def run_path_gain(config: ExperimentConfig):
     for preset, (T, R) in _preset_list(config):
         for distance in config.distances:
             scenario = config.scenario(T=T, R=R, D=distance)
-            gains = path_gains(scenario, config.n_modes, _FOCUS_STATES)
-            for focused, eta in zip(_FOCUS_STATES, gains):
+            gains = path_gains(scenario, config.n_modes)
+            for focused, eta in zip(FOCUS_STATES, gains):
                 label = "focused" if focused else "unfocused"
                 rows.append((distance, preset, label, eta, 10 * np.log10(eta)))
     path = Path(config.out) / "path_gain.csv"

@@ -29,6 +29,8 @@ _AREA_TOLERANCE = 0.005
 #: reactive near-field terms, which is fine a few wavelengths out but not
 #: at essentially zero separation.
 _MIN_SEPARATION_WAVELENGTHS = 0.01
+#: Upper bound on the coupling-block array assembled in one piece.
+_MATRIX_BUDGET_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -267,9 +269,14 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> ModeS
 
     Returns:
         ModeSpectrum of singular values, labeled by mode index.
+
+    Raises:
+        MemoryError: if the (N_r/4) x N_t coupling array would exceed
+            the assembly budget.
     """
     if spacing is None:
         spacing = scenario.wavelength / 2
+    _check_matrix_budget(scenario, spacing)
     grid_t = disk_grid(scenario.radius_tx, spacing)
     grid_r = disk_grid(scenario.radius_rx, spacing)
     sites_r = _quarter_turn_orbits(grid_r)[0]
@@ -282,3 +289,18 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> ModeS
     blocks = np.fft.fft(couplings, axis=1)
     values = np.concatenate([svd_spectrum(blocks[:, m, :]) for m in range(4)])
     return ModeSpectrum(values=np.sort(values)[::-1], scale="amplitude")
+
+
+def _check_matrix_budget(scenario: Scenario, spacing: float) -> None:
+    # Site count of each disk lattice, conservatively by area; the largest
+    # array is the complex (N_r/4) x N_t coupling of the receive quadrant.
+    n_t = np.pi * scenario.radius_tx**2 / spacing**2
+    n_r = np.pi * scenario.radius_rx**2 / spacing**2
+    required = 16 * n_t * n_r / 4
+    if required > _MATRIX_BUDGET_BYTES:
+        factor = (required / _MATRIX_BUDGET_BYTES) ** 0.25
+        suggestion = spacing * factor / scenario.wavelength
+        raise MemoryError(
+            f"coupling blocks would need {required / 1024**3:.1f} GiB; "
+            f"increase the lattice pitch to at least {suggestion:.3g} wavelengths"
+        )

@@ -28,6 +28,8 @@ RADIAL_SAMPLES = 1024
 #: the wavelength.  The integrand oscillates on the kappa rho^2 / 2z scale;
 #: lambda/16 resolves it for every scenario in the experiment suite.
 QUADRATURE_STEP_FRACTION = 1 / 16
+#: Focus states of the multi-state evaluators, unfocused first.
+FOCUS_STATES = (False, True)
 
 
 @dataclass(frozen=True)
@@ -169,18 +171,13 @@ def rx_field_radial(
         RadialField on the requested grid.
     """
     ell = topological_charge(n).ell
-    grid = _checked_radial_grid(scenario, grid)
-    (samples,) = _radial_samples(ell, scenario, grid, (focused,))
-    return RadialField(radii=grid, samples=samples, mode_index=n, focused=focused)
-
-
-def _checked_radial_grid(scenario: Scenario, grid: np.ndarray | None) -> np.ndarray:
     if grid is None:
-        return default_radial_grid(scenario)
+        grid = default_radial_grid(scenario)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
         raise ValueError("radial grid must lie within [0, R_R]")
-    return grid
+    (samples,) = _radial_samples(ell, scenario, grid, (focused,))
+    return RadialField(radii=grid, samples=samples, mode_index=n, focused=focused)
 
 
 def _radial_samples(ell: int, scenario: Scenario, grid: np.ndarray, focus_states) -> list:
@@ -293,29 +290,23 @@ def _energy(samples: np.ndarray, radii: np.ndarray) -> float:
     return float(2 * np.pi * np.trapezoid(np.abs(samples) ** 2 * radii, radii))
 
 
-def mode_energies(
-    scenario: Scenario,
-    charges,
-    focused=(False, True),
-    grid: np.ndarray | None = None,
-) -> np.ndarray:
+def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarray:
     """Received energies of several charges and focus states.
 
-    Bitwise equal to :func:`mode_energy` of each (charge, focus state), but
-    builds one Bessel kernel per distinct |l|: the kernel serves every
-    focus state, and E_l = E_{-l} exactly.
+    Bitwise equal to :func:`mode_energy` of each (charge, focus state) on
+    the default radial grid, but builds one Bessel kernel per distinct |l|:
+    the kernel serves every focus state, and E_l = E_{-l} exactly.
 
     Args:
         scenario: link geometry.
         charges: signed topological charges, repeats allowed.
         focused: focus states to evaluate, in output row order.
-        grid: radial evaluation points, as for :func:`rx_field_radial`.
 
     Returns:
         Array of shape (len(focused), len(charges)).
     """
     charges = np.array([int(ell) for ell in charges], dtype=int)
-    grid = _checked_radial_grid(scenario, grid)
+    grid = default_radial_grid(scenario)
     energies = np.empty((len(focused), len(charges)))
     for ell in np.unique(np.abs(charges)):
         same = np.abs(charges) == ell
@@ -324,7 +315,7 @@ def mode_energies(
     return energies
 
 
-def path_gains(scenario: Scenario, n_modes: int, focused=(False, True)) -> np.ndarray:
+def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.ndarray:
     """Total received over transmitted energy for an N-mode superposition.
 
     With unit-energy bases and equal power allocation the transmitted

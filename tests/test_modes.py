@@ -208,3 +208,8 @@ def test_svd_mode_spectrum_rejects_grid_without_quarter_turn_symmetry(monkeypatc
     monkeypatch.setattr(modes, "disk_grid", shifted_grid)
     with pytest.raises(ValueError, match="quarter-turn"):
         svd_mode_spectrum(Scenario.normalized(3, 3, 30))
+
+
+def test_svd_mode_spectrum_rejects_oversized_lattice():
+    with pytest.raises(MemoryError, match="pitch"):
+        svd_mode_spectrum(Scenario.normalized(4000, 4000, 30000))

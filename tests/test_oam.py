@@ -123,9 +123,6 @@ def test_mode_energies_bitwise_equal_to_mode_energy():
     expected = [[mode_energy(mode_index(ell), s, f) for ell in charges] for f in (False, True)]
     assert_array_equal(mode_energies(s, charges), expected)
     assert_array_equal(mode_energies(s, charges, (True,)), expected[1:])
-    grid = np.linspace(0.0, s.radius_rx, 200)
-    expected = [[mode_energy(mode_index(ell), s, False, grid) for ell in (2, -3)]]
-    assert_array_equal(mode_energies(s, (2, -3), (False,), grid), expected)
 
 
 def test_mode_energy_scales_with_wavelength_squared():
