@@ -38,9 +38,11 @@ from .detect import (
     BerCurve,
     DetectorConfig,
     NoiseModel,
+    ber_curves,
     ber_monte_carlo,
     demultiplex,
     smart_window,
+    tnr_curves,
     tnr_sweep,
 )
 from .experiments import ExperimentConfig, default_config, parse_config, serialize_config, run
@@ -72,9 +74,11 @@ __all__ = [
     "BerCurve",
     "DetectorConfig",
     "NoiseModel",
+    "ber_curves",
     "ber_monte_carlo",
     "demultiplex",
     "smart_window",
+    "tnr_curves",
     "tnr_sweep",
     "ExperimentConfig",
     "default_config",

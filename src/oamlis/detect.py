@@ -16,7 +16,9 @@ detector a finite slot count M.  Three decision strategies are provided:
   the central/noncentral chi-square statistics of the slot model.
 
 Monte Carlo sweeps are chunked and seeded per chunk, so results are
-reproducible for a given master seed.
+reproducible for a given master seed.  The draw does not depend on the
+branch, so :func:`ber_curves` and :func:`tnr_curves` draw once per chunk and
+score every (charge, strategy) branch on it.
 """
 
 from __future__ import annotations
@@ -446,28 +448,48 @@ class _Branch:
         return ed_statistic(y, self.mask, self.radii, self.delta)
 
 
-def _make_branch(
+def _make_branches(
     scenario: Scenario,
-    charge: int,
-    config: DetectorConfig,
+    branches,
     focused: bool,
     radii: np.ndarray,
     delta: float,
-) -> _Branch:
-    n = mode_index(int(charge))
-    psi = rx_field_radial(n, scenario, focused, grid=radii).samples
-    if config.smart:
-        mask = interval_mask(smart_window(n, scenario, focused, config.drop_db), radii)
-        if not mask.any():
-            raise ValueError("smart window narrower than the slot grid")
-    else:
-        mask = np.ones(len(radii), dtype=bool)
+) -> list[_Branch]:
+    """One _Branch per (charge, DetectorConfig) pair.
+
+    Each charge's slot-grid template and, for smart windows, its default-grid
+    field are computed once and shared by every branch of that charge.
+    """
     kappa = scenario.kappa
     z = scenario.distance
     compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    return _Branch(
-        config=config, radii=radii, delta=delta, psi=psi, mask=mask, compensation=compensation
-    )
+    templates = {}
+    fields = {}
+    built = []
+    for charge, config in branches:
+        n = mode_index(int(charge))
+        if n not in templates:
+            templates[n] = rx_field_radial(n, scenario, focused, grid=radii).samples
+        if config.smart:
+            if n not in fields:
+                fields[n] = rx_field_radial(n, scenario, focused)
+            window = smart_window(n, scenario, focused, config.drop_db, field=fields[n])
+            mask = interval_mask(window, radii)
+            if not mask.any():
+                raise ValueError("smart window narrower than the slot grid")
+        else:
+            mask = np.ones(len(radii), dtype=bool)
+        built.append(
+            _Branch(
+                config=config,
+                radii=radii,
+                delta=delta,
+                psi=templates[n],
+                mask=mask,
+                compensation=compensation,
+            )
+        )
+    return built
 
 
 def _check_trials(trials: int) -> int:
@@ -484,6 +506,117 @@ def _chunk_sizes(trials: int):
     return sizes
 
 
+def _draw(model: NoiseModel, seed: np.random.SeedSequence, count: int):
+    """Bits and slot noise of one chunk; every branch is scored on them."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, count)
+    return bits, model.sample(rng, count)
+
+
+def _received(branch: _Branch, bits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Branch signal 2 pi s psi + noise, OOK for the energy detector, else BPSK."""
+    if branch.config.strategy == "ed":
+        symbols = bits * OOK_ONE_AMPLITUDE
+    else:
+        symbols = 2.0 * bits - 1.0
+    return 2 * np.pi * symbols[:, None] * branch.psi[None, :] + noise
+
+
+def _bit_errors(branch: _Branch, bits, noise, threshold) -> int:
+    """Decision errors of one branch on a shared draw.
+
+    The branch's signal lives only inside this call, so scoring several
+    branches in turn holds one signal array at a time.
+    """
+    y = _received(branch, bits, noise)
+    if branch.config.strategy == "ed":
+        decided = ook_decide(branch.energy_statistic(y), threshold)
+    else:
+        decided = branch.coherent_statistic(y).real >= 0
+    return int(np.count_nonzero(decided != (bits == 1)))
+
+
+def _threshold_errors(branch: _Branch, bits, noise, thresholds) -> np.ndarray:
+    """Energy-detector errors of one branch at every threshold of a sweep."""
+    energy = branch.energy_statistic(_received(branch, bits, noise))
+    decided = energy[:, None] >= thresholds[None, :]
+    return np.count_nonzero(decided != (bits == 1)[:, None], axis=0)
+
+
+def _ed_threshold(branch: _Branch, n0: float) -> float | None:
+    """Energy-detector threshold at noise level n0; None for coherent branches."""
+    config = branch.config
+    if config.strategy != "ed":
+        return None
+    if config.threshold is not None:
+        return config.threshold
+    zeta, _ = optimize_threshold(n0, int(branch.mask.sum()), branch.window_energy)
+    return zeta
+
+
+def ber_curves(
+    scenario: Scenario,
+    branches,
+    snr_db_list,
+    trials: int,
+    seed: int = 0,
+    focused: bool = True,
+    mode_set=DEFAULT_MODE_SET,
+    slot: float | None = None,
+) -> tuple[list[BerCurve], float]:
+    """Monte Carlo BER of several demultiplexed branches over one SNR sweep.
+
+    The SNR axis is the link-level E_s/N0 of the full multiplexed set with
+    equal power allocation; each point sets N0 = E_s / snr.  Per trial a
+    symbol is drawn, each branch's post-demultiplexing signal
+    2 pi x psi + noise is synthesized on the slot grid and the branch's
+    statistic decides.  For the energy detector without an explicit
+    threshold, the closed-form optimum threshold is used at each point.
+
+    The bits and the noise depend only on the seed, the SNR point and the
+    chunk, so they are drawn once per (point, chunk) and every branch is
+    scored on the same draw: the curves are paired samples, and each equals
+    the curve of a one-branch run at the same seed.
+
+    Args:
+        scenario: link geometry.
+        branches: (charge, DetectorConfig) pairs; every charge must belong
+            to ``mode_set``.
+        snr_db_list: link SNR axis in dB.
+        trials: Monte Carlo symbols per point (>= 10^4).
+        seed: master seed; point and chunk streams are spawned from it.
+        focused: transmit focusing of the whole mode set.
+        mode_set: multiplexed charges defining E_s.
+        slot: radial slot width override (default lambda/4).
+
+    Returns:
+        (curves, symbol_energy): one BerCurve over the SNR axis per branch,
+        in branch order, and the E_s that the axis refers to.
+    """
+    trials = _check_trials(trials)
+    members = {int(m) for m in mode_set}
+    if any(int(charge) not in members for charge, _ in branches):
+        raise ValueError("branch charge must belong to the multiplexed set")
+    snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
+    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
+    built = _make_branches(scenario, branches, focused, radii, delta)
+    symbol_energy = link_symbol_energy(scenario, focused, mode_set)
+
+    point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
+    sizes = _chunk_sizes(trials)
+    errors = np.zeros((len(built), len(snr_db)))
+    for k, (snr, point_seed) in enumerate(zip(snr_db, point_seeds)):
+        n0 = symbol_energy / 10 ** (snr / 10)
+        model = NoiseModel(n0=n0, radii=radii, delta=delta)
+        zetas = [_ed_threshold(branch, n0) for branch in built]
+        for chunk, chunk_seed in zip(sizes, point_seed.spawn(len(sizes))):
+            bits, noise = _draw(model, chunk_seed, chunk)
+            for b, (branch, zeta) in enumerate(zip(built, zetas)):
+                errors[b, k] += _bit_errors(branch, bits, noise, zeta)
+    counts = np.full(len(snr_db), trials)
+    return [BerCurve.from_counts(snr_db, row, counts) for row in errors], symbol_energy
+
+
 def ber_monte_carlo(
     scenario: Scenario,
     charge: int,
@@ -495,64 +628,69 @@ def ber_monte_carlo(
     mode_set=DEFAULT_MODE_SET,
     slot: float | None = None,
 ) -> BerCurve:
-    """Monte Carlo BER of one demultiplexed branch over an SNR sweep.
-
-    The SNR axis is the link-level E_s/N0 of the full multiplexed set with
-    equal power allocation; each point sets N0 = E_s / snr.  Per trial a
-    symbol is drawn, the branch's post-demultiplexing signal
-    2 pi x psi + noise is synthesized on the slot grid and the configured
-    statistic decides.  For the energy detector without an explicit
-    threshold, the closed-form optimum threshold is used at each point.
+    """Monte Carlo BER of one branch over an SNR sweep; see :func:`ber_curves`.
 
     Args:
-        scenario: link geometry.
         charge: topological charge of the branch under test (must be in
             ``mode_set``).
         config: receiver strategy and knobs.
-        snr_db_list: link SNR axis in dB.
-        trials: Monte Carlo symbols per point (>= 10^4).
-        seed: master seed; chunk streams are spawned from it.
-        focused: transmit focusing of the whole mode set.
-        mode_set: multiplexed charges defining E_s.
-        slot: radial slot width override (default lambda/4).
 
     Returns:
         BerCurve over the SNR axis.
     """
-    trials = _check_trials(trials)
-    if int(charge) not in {int(m) for m in mode_set}:
-        raise ValueError("branch charge must belong to the multiplexed set")
-    snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
-    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    branch = _make_branch(scenario, charge, config, focused, radii, delta)
-    e_s = link_symbol_energy(scenario, focused, mode_set)
+    (curve,), _ = ber_curves(
+        scenario, [(charge, config)], snr_db_list, trials,
+        seed=seed, focused=focused, mode_set=mode_set, slot=slot,
+    )
+    return curve
 
-    point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
+
+def tnr_curves(
+    scenario: Scenario,
+    branches,
+    snr_db: float,
+    tnr_db_list,
+    trials: int,
+    seed: int = 0,
+    focused: bool = True,
+    mode_set=DEFAULT_MODE_SET,
+    drop_db: float = 10.0,
+    slot: float | None = None,
+) -> list[BerCurve]:
+    """Monte Carlo energy-detector BER of several branches over a TNR sweep.
+
+    The link SNR is held fixed; the threshold is swept as
+    zeta = N0 * 10^(TNR/10).  One draw per chunk serves every threshold and
+    every branch, so the shape of a curve is not blurred by independent
+    sampling noise, and each curve equals a one-branch run at the same seed.
+
+    Args:
+        branches: (charge, smart) pairs; ``smart`` selects the smart window
+            at ``drop_db`` instead of the full aperture.
+
+    Returns:
+        One BerCurve over the TNR axis per branch, in branch order.
+    """
+    trials = _check_trials(trials)
+    tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
+    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
+    configs = [
+        (charge, DetectorConfig(strategy="ed", smart=smart, drop_db=drop_db))
+        for charge, smart in branches
+    ]
+    built = _make_branches(scenario, configs, focused, radii, delta)
+    n0 = link_symbol_energy(scenario, focused, mode_set) / 10 ** (snr_db / 10)
+    model = NoiseModel(n0=n0, radii=radii, delta=delta)
+    thresholds = n0 * 10 ** (tnr_db / 10)
+
+    errors = np.zeros((len(built), len(tnr_db)))
     sizes = _chunk_sizes(trials)
-    errors = np.zeros(len(snr_db))
-    for k, (snr, point_seed) in enumerate(zip(snr_db, point_seeds)):
-        n0 = e_s / 10 ** (snr / 10)
-        model = NoiseModel(n0=n0, radii=radii, delta=delta)
-        if config.strategy == "ed":
-            if config.threshold is not None:
-                zeta = config.threshold
-            else:
-                zeta, _ = optimize_threshold(n0, int(branch.mask.sum()), branch.window_energy)
-        for chunk, chunk_seed in zip(sizes, point_seed.spawn(len(sizes))):
-            rng = np.random.default_rng(chunk_seed)
-            bits = rng.integers(0, 2, chunk)
-            noise = model.sample(rng, chunk)
-            if config.strategy == "ed":
-                symbols = bits * OOK_ONE_AMPLITUDE
-                y = 2 * np.pi * symbols[:, None] * branch.psi[None, :] + noise
-                decided = ook_decide(branch.energy_statistic(y), zeta)
-                errors[k] += int(np.count_nonzero(decided != (bits == 1)))
-            else:
-                symbols = 2.0 * bits - 1.0
-                y = 2 * np.pi * symbols[:, None] * branch.psi[None, :] + noise
-                decided = branch.coherent_statistic(y).real >= 0
-                errors[k] += int(np.count_nonzero(decided != (bits == 1)))
-    return BerCurve.from_counts(snr_db, errors, np.full(len(snr_db), trials))
+    for chunk, chunk_seed in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        bits, noise = _draw(model, chunk_seed, chunk)
+        for b, branch in enumerate(built):
+            errors[b] += _threshold_errors(branch, bits, noise, thresholds)
+    counts = np.full(len(tnr_db), trials)
+    return [BerCurve.from_counts(tnr_db, row, counts) for row in errors]
 
 
 def tnr_sweep(
@@ -568,35 +706,13 @@ def tnr_sweep(
     drop_db: float = 10.0,
     slot: float | None = None,
 ) -> BerCurve:
-    """Monte Carlo energy-detector BER over a threshold-to-noise sweep.
-
-    The link SNR is held fixed; the threshold is swept as
-    zeta = N0 * 10^(TNR/10).  All thresholds reuse the same symbol and
-    noise draws, so the shape of the curve is not blurred by independent
-    sampling noise.
+    """Monte Carlo energy-detector BER of one branch; see :func:`tnr_curves`.
 
     Returns:
         BerCurve over the TNR axis.
     """
-    trials = _check_trials(trials)
-    config = DetectorConfig(strategy="ed", smart=smart, drop_db=drop_db)
-    tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
-    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    branch = _make_branch(scenario, charge, config, focused, radii, delta)
-    e_s = link_symbol_energy(scenario, focused, mode_set)
-    n0 = e_s / 10 ** (snr_db / 10)
-    model = NoiseModel(n0=n0, radii=radii, delta=delta)
-    thresholds = n0 * 10 ** (tnr_db / 10)
-
-    errors = np.zeros(len(tnr_db))
-    sizes = _chunk_sizes(trials)
-    for chunk, chunk_seed in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.default_rng(chunk_seed)
-        bits = rng.integers(0, 2, chunk)
-        noise = model.sample(rng, chunk)
-        symbols = bits * OOK_ONE_AMPLITUDE
-        y = 2 * np.pi * symbols[:, None] * branch.psi[None, :] + noise
-        energy = branch.energy_statistic(y)
-        decided = energy[:, None] >= thresholds[None, :]
-        errors += np.count_nonzero(decided != (bits == 1)[:, None], axis=0)
-    return BerCurve.from_counts(tnr_db, errors, np.full(len(tnr_db), trials))
+    (curve,) = tnr_curves(
+        scenario, [(charge, smart)], snr_db, tnr_db_list, trials,
+        seed=seed, focused=focused, mode_set=mode_set, drop_db=drop_db, slot=slot,
+    )
+    return curve

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import DetectorConfig, ber_monte_carlo, link_symbol_energy, tnr_sweep
+from .detect import DetectorConfig, ber_curves, tnr_curves
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
 from .oam import (
@@ -35,6 +35,16 @@ from .oam import (
 PRESETS = {"equal": (10.0, 10.0), "downlink": (25.0, 5.0), "uplink": (5.0, 25.0)}
 
 KINDS = ("spectrum", "dof_vs_distance", "path_gain", "ber", "tnr", "profiles")
+
+#: Strategy names used in configs and file names, with their detector knobs.
+_STRATEGY_CONFIGS = {
+    "mf": dict(strategy="mf"),
+    "id": dict(strategy="id"),
+    "id_noeq": dict(strategy="id", equalize=False),
+    "id_smart": dict(strategy="id", smart=True),
+    "ed_full": dict(strategy="ed"),
+    "ed_smart": dict(strategy="ed", smart=True),
+}
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,13 @@ class ExperimentConfig:
             raise ValueError("threshold_db must be <= 0 dB")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        unknown = [name for name in self.strategies if name not in _STRATEGY_CONFIGS]
+        if unknown:
+            raise ValueError(
+                f"unknown strategies {unknown}; expected names from {sorted(_STRATEGY_CONFIGS)}"
+            )
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes must not repeat a charge, got {self.modes}")
 
     def scenario(self, T=None, R=None, D=None) -> Scenario:
         return Scenario.normalized(
@@ -343,16 +360,6 @@ def run_path_gain(config: ExperimentConfig):
     return [_write_csv(path, columns, rows, config)]
 
 
-_STRATEGY_CONFIGS = {
-    "mf": dict(strategy="mf"),
-    "id": dict(strategy="id"),
-    "id_noeq": dict(strategy="id", equalize=False),
-    "id_smart": dict(strategy="id", smart=True),
-    "ed_full": dict(strategy="ed"),
-    "ed_smart": dict(strategy="ed", smart=True),
-}
-
-
 def detector_for(name: str, drop_db: float = 10.0) -> DetectorConfig:
     """DetectorConfig for a strategy name used in configs and file names."""
     if name not in _STRATEGY_CONFIGS:
@@ -363,63 +370,55 @@ def detector_for(name: str, drop_db: float = 10.0) -> DetectorConfig:
 
 
 def run_ber(config: ExperimentConfig):
-    """Monte Carlo BER curves, one CSV per (charge, strategy)."""
+    """Monte Carlo BER curves, one CSV per (charge, strategy), from one shared draw."""
     scenario = config.scenario()
     if not config.snr_db:
         raise ValueError("ber experiment needs a non-empty snr_db list")
-    e_s = link_symbol_energy(scenario, config.focused, config.modes)
+    keys = [(charge, name) for charge in config.modes for name in config.strategies]
+    curves, e_s = ber_curves(
+        scenario,
+        [(charge, detector_for(name, config.drop_db)) for charge, name in keys],
+        config.snr_db,
+        trials=config.trials,
+        seed=config.seed,
+        focused=config.focused,
+        mode_set=config.modes,
+        slot=config.slot * config.wavelength,
+    )
     paths = []
-    for charge in config.modes:
-        for name in config.strategies:
-            detector = detector_for(name, config.drop_db)
-            curve = ber_monte_carlo(
-                scenario,
-                charge,
-                detector,
-                config.snr_db,
-                trials=config.trials,
-                seed=config.seed,
-                focused=config.focused,
-                mode_set=config.modes,
-                slot=config.slot * config.wavelength,
-            )
-            rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
-            extra = {"charge": charge, "strategy": name, "symbol_energy": e_s}
-            path = Path(config.out) / f"ber_{name}_l{charge}.csv"
-            paths.append(
-                _write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra)
-            )
+    for (charge, name), curve in zip(keys, curves):
+        rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
+        extra = {"charge": charge, "strategy": name, "symbol_energy": e_s}
+        path = Path(config.out) / f"ber_{name}_l{charge}.csv"
+        paths.append(_write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra))
     return paths
 
 
 def run_tnr(config: ExperimentConfig):
-    """Energy-detector BER versus threshold-to-noise ratio at fixed SNR."""
+    """Energy-detector BER versus threshold-to-noise ratio at fixed SNR, from one shared draw."""
     scenario = config.scenario()
     if not config.tnr_db:
         raise ValueError("tnr experiment needs a non-empty tnr_db list")
+    branches = [(charge, smart) for charge in config.modes for smart in (False, True)]
+    curves = tnr_curves(
+        scenario,
+        branches,
+        config.tnr_snr_db,
+        config.tnr_db,
+        trials=config.trials,
+        seed=config.seed,
+        focused=config.focused,
+        mode_set=config.modes,
+        drop_db=config.drop_db,
+        slot=config.slot * config.wavelength,
+    )
     paths = []
-    for charge in config.modes:
-        for smart in (False, True):
-            curve = tnr_sweep(
-                scenario,
-                charge,
-                config.tnr_snr_db,
-                config.tnr_db,
-                smart,
-                trials=config.trials,
-                seed=config.seed,
-                focused=config.focused,
-                mode_set=config.modes,
-                drop_db=config.drop_db,
-                slot=config.slot * config.wavelength,
-            )
-            rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
-            extra = {"charge": charge, "smart": smart, "snr_db": config.tnr_snr_db}
-            suffix = "smart" if smart else "full"
-            path = Path(config.out) / f"tnr_ed_l{charge}_{suffix}.csv"
-            paths.append(
-                _write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra)
-            )
+    for (charge, smart), curve in zip(branches, curves):
+        rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
+        extra = {"charge": charge, "smart": smart, "snr_db": config.tnr_snr_db}
+        suffix = "smart" if smart else "full"
+        path = Path(config.out) / f"tnr_ed_l{charge}_{suffix}.csv"
+        paths.append(_write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra))
     return paths
 
 

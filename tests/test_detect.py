@@ -1,16 +1,18 @@
 """Tests for slot-grid demultiplexing, receiver statistics and BER sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oamlis import Scenario
 from oamlis.detect import (
     BerCurve,
     DetectorConfig,
     NoiseModel,
+    ber_curves,
     ber_monte_carlo,
     demultiplex,
     ed_ber,
@@ -24,6 +26,7 @@ from oamlis.detect import (
     optimize_threshold,
     slot_grid,
     smart_window,
+    tnr_curves,
     tnr_sweep,
 )
 from oamlis.oam import RadialField, mode_energy, mode_index, rx_field_radial
@@ -381,3 +384,65 @@ def test_tnr_sweep_requires_enough_trials():
     s = Scenario.normalized(10, 10, 100)
     with pytest.raises(ValueError):
         tnr_sweep(s, 0, 19.0, [25.0], smart=False, trials=100)
+
+
+def test_ber_curves_match_one_branch_runs():
+    s = Scenario.normalized(10, 10, 100)
+    branches = [
+        (0, DetectorConfig("mf")),
+        (0, DetectorConfig("id", smart=True)),
+        (4, DetectorConfig("ed", smart=True)),
+        (4, DetectorConfig("id", equalize=False)),
+        (2, DetectorConfig("ed")),
+    ]
+    kwargs = dict(trials=10_000, seed=3)
+    curves, e_s = ber_curves(s, branches, [6.0, 12.0], **kwargs)
+    assert e_s == link_symbol_energy(s, True)
+    assert len(curves) == len(branches)
+    for (charge, config), curve in zip(branches, curves):
+        single = ber_monte_carlo(s, charge, config, [6.0, 12.0], **kwargs)
+        assert_array_equal(curve.ber, single.ber)
+        assert_array_equal(curve.ci95, single.ci95)
+    with pytest.raises(ValueError):
+        ber_curves(s, [(0, DetectorConfig("mf")), (7, DetectorConfig("mf"))], [6.0], trials=10_000)
+
+
+def test_tnr_curves_match_one_branch_runs():
+    s = Scenario.normalized(10, 10, 100)
+    branches = [(0, False), (0, True), (4, False), (4, True)]
+    tnr_db = [20.0, 25.0, 30.0]
+    curves = tnr_curves(s, branches, 19.0, tnr_db, trials=10_000, seed=5)
+    for (charge, smart), curve in zip(branches, curves):
+        single = tnr_sweep(s, charge, 19.0, tnr_db, smart=smart, trials=10_000, seed=5)
+        assert_array_equal(curve.ber, single.ber)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ber_curves_peak_memory_does_not_grow_with_branches():
+    # Each branch's signal is freed before the next branch is scored, so
+    # six branches peak within one chunk's signal array of one branch.
+    s = Scenario.normalized(10, 10, 100)
+    detectors = (
+        DetectorConfig("mf"),
+        DetectorConfig("id", smart=True),
+        DetectorConfig("ed", smart=True),
+    )
+    six = [(charge, config) for charge in (0, 4) for config in detectors]
+
+    def sweep(branches):
+        return lambda: ber_curves(s, branches, [8.0], trials=10_000, seed=1)
+
+    sweep(six)()  # warm caches outside the measurement
+    one = _peak_bytes(sweep(six[:1]))
+    many = _peak_bytes(sweep(six))
+    radii, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    signal_bytes = 10_000 * len(radii) * np.dtype(complex).itemsize
+    assert many - one < signal_bytes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oamlis import cli
+from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_monte_carlo
 from oamlis.experiments import (
     KINDS,
     ExperimentConfig,
@@ -66,6 +67,10 @@ def test_config_validation():
         ExperimentConfig(threshold_db=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="strateg"):
+        ExperimentConfig(kind="ber", strategies=("mf", "bogus"))
+    with pytest.raises(ValueError, match="repeat"):
+        ExperimentConfig(kind="ber", modes=(0, 0))
 
 
 def test_parse_config_overrides_and_comments():
@@ -274,6 +279,80 @@ def test_cli_rejects_unknown_strategy(tmp_path):
                 str(tmp_path),
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--modes", "0", "--strategies", "mf,bogus"],
+        ["--modes", "0,0", "--strategies", "mf"],
+    ],
+)
+def test_cli_rejects_bad_ber_config_before_writing(tmp_path, flags):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        cli.main(["ber", *flags, "--trials", "10000", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_run_ber_shares_one_draw_across_curves(tmp_path):
+    # Two chunks per point: every curve of one run reads the same draws as
+    # a run of that (charge, strategy) alone at the same seed.
+    config = default_config(
+        "ber",
+        modes=(0, 2, 4),
+        strategies=("mf", "id", "id_smart", "ed_full", "ed_smart"),
+        snr_db=(4.0, 10.0),
+        trials=CHUNK_TRIALS + 5_000,
+        seed=7,
+        out=str(tmp_path),
+    )
+    paths = run(config)
+    assert len(paths) == 15
+    for path in paths:
+        meta, _, rows = read_csv(path)
+        alone = ber_monte_carlo(
+            config.scenario(),
+            int(meta["charge"]),
+            detector_for(meta["strategy"], config.drop_db),
+            config.snr_db,
+            trials=config.trials,
+            seed=config.seed,
+            mode_set=config.modes,
+            slot=config.slot * config.wavelength,
+        )
+        expected = [
+            [format(a, ".12g"), format(b, ".12g"), str(n), format(c, ".12g")]
+            for a, b, n, c in zip(alone.axis_db, alone.ber, alone.trials, alone.ci95)
+        ]
+        assert rows == expected
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    calls = []
+    sample = NoiseModel.sample
+
+    def counted(self, rng, count):
+        calls.append(count)
+        return sample(self, rng, count)
+
+    monkeypatch.setattr(NoiseModel, "sample", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "modes, strategies", [((0,), ("mf",)), ((0, 4), ("mf", "id_smart", "ed_smart"))]
+)
+def test_ber_and_tnr_draw_once_per_chunk(tmp_path, count_draws, modes, strategies):
+    # P points x 2 chunks for ber, 2 chunks for tnr, whatever the branch count.
+    shared = dict(modes=modes, trials=CHUNK_TRIALS + 5_000, out=str(tmp_path))
+    snr_db = (4.0, 8.0, 12.0)
+    run(default_config("ber", strategies=strategies, snr_db=snr_db, **shared))
+    assert count_draws == [CHUNK_TRIALS, 5_000] * len(snr_db)
+    count_draws.clear()
+    run(default_config("tnr", tnr_db=(25.0,), **shared))
+    assert count_draws == [CHUNK_TRIALS, 5_000]
 
 
 def test_cli_requires_verb(capsys):
