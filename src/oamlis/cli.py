@@ -3,6 +3,9 @@
 Precedence of settings, lowest to highest: the verb's built-in defaults,
 then the ``--config`` file, then explicit flags.  Every run prints the
 paths of the files it wrote.
+
+Each flag is one :class:`~oamlis.experiments.ExperimentConfig` field: its
+help text, spelling and value parser all come from the field.
 """
 
 from __future__ import annotations
@@ -14,54 +17,58 @@ from pathlib import Path
 
 from . import experiments
 
-_VERB_KINDS = {
-    "spectrum": "spectrum",
-    "dof": "dof_vs_distance",
-    "pathgain": "path_gain",
-    "ber": "ber",
-    "tnr": "tnr",
-    "profiles": "profiles",
+#: Flags every verb takes, after ``--config``.
+_COMMON = ("seed", "out", "wavelength", "T", "R", "D", "threshold_db", "trials")
+
+#: Verb -> (experiment kind, help line, config fields exposed as flags).
+VERBS = {
+    "spectrum": (
+        "spectrum",
+        "coupling intensities of SVD and OAM modes for one geometry",
+        ("spacing", "max_charge", "n_values"),
+    ),
+    "dof": (
+        "dof_vs_distance",
+        "well-coupled mode counts versus link distance",
+        ("preset", "distances", "spacing", "max_charge"),
+    ),
+    "pathgain": (
+        "path_gain",
+        "received-over-transmitted energy versus link distance",
+        ("preset", "distances", "n_modes"),
+    ),
+    "ber": (
+        "ber",
+        "Monte Carlo BER versus SNR for the receiver strategies",
+        ("modes", "snr_db", "strategies", "drop_db", "slot", "focused"),
+    ),
+    "tnr": (
+        "tnr",
+        "energy-detector BER versus decision threshold at fixed SNR",
+        ("modes", "tnr_snr_db", "tnr_db", "drop_db", "slot", "focused"),
+    ),
+    "profiles": (
+        "profiles",
+        "aperture phase/amplitude maps and radial field cuts",
+        ("modes", "resolution"),
+    ),
 }
 
-_VERB_HELP = {
-    "spectrum": "coupling intensities of SVD and OAM modes for one geometry",
-    "dof": "well-coupled mode counts versus link distance",
-    "pathgain": "received-over-transmitted energy versus link distance",
-    "ber": "Monte Carlo BER versus SNR for the receiver strategies",
-    "tnr": "energy-detector BER versus decision threshold at fixed SNR",
-    "profiles": "aperture phase/amplitude maps and radial field cuts",
-}
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", metavar="DIR", help="output directory for CSV files")
+def _add_field(parser: argparse.ArgumentParser, field: dataclasses.Field) -> None:
+    options = dict(field.metadata)
+    if field.name == "focused":
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--focused", dest="focused", action="store_const", const=True, **options)
+        group.add_argument(
+            "--unfocused", dest="focused", action="store_const", const=False,
+            help="plain helical transmit profiles without focusing",
+        )
+        return
+    flag = options.pop("flag", "--" + field.name.replace("_", "-"))
     parser.add_argument(
-        "--lambda", dest="wavelength", type=float, metavar="M",
-        help="carrier wavelength in meters",
+        flag, dest=field.name, type=experiments.FIELD_PARSERS[field.name], **options
     )
-    parser.add_argument("--T", type=float, help="transmit radius in wavelengths")
-    parser.add_argument("--R", type=float, help="receive radius in wavelengths")
-    parser.add_argument("--D", type=float, help="link distance in wavelengths")
-    parser.add_argument(
-        "--threshold-db", dest="threshold_db", type=float,
-        help="mode-count threshold in dB (energy scale, <= 0)",
-    )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-
-
-def _add_focus_toggle(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--focused", dest="focused", action="store_const", const=True,
-        help="apply the transmit focusing phase law (default)",
-    )
-    group.add_argument(
-        "--unfocused", dest="focused", action="store_const", const=False,
-        help="plain helical transmit profiles without focusing",
-    )
-    parser.set_defaults(focused=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,61 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
         "communication modes, OAM beams and receiver performance.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    p = sub.add_parser("spectrum", help=_VERB_HELP["spectrum"])
-    _add_common(p)
-    p.add_argument("--spacing", type=float, help="lattice pitch in wavelengths")
-    p.add_argument("--max-charge", dest="max_charge", type=int, help="largest |charge| to evaluate")
-    p.add_argument("--n-values", dest="n_values", type=int, help="singular values kept in the CSV")
-
-    p = sub.add_parser("dof", help=_VERB_HELP["dof"])
-    _add_common(p)
-    p.add_argument("--preset", choices=(*experiments.PRESETS, "all"), help="geometry preset")
-    p.add_argument("--distances", help="comma-separated distances in wavelengths")
-    p.add_argument("--spacing", type=float, help="lattice pitch in wavelengths")
-    p.add_argument("--max-charge", dest="max_charge", type=int, help="largest |charge| to evaluate")
-
-    p = sub.add_parser("pathgain", help=_VERB_HELP["pathgain"])
-    _add_common(p)
-    p.add_argument("--preset", choices=(*experiments.PRESETS, "all"), help="geometry preset")
-    p.add_argument("--distances", help="comma-separated distances in wavelengths")
-    p.add_argument("--n-modes", dest="n_modes", type=int, help="superposed mode count (odd)")
-
-    p = sub.add_parser("ber", help=_VERB_HELP["ber"])
-    _add_common(p)
-    p.add_argument("--modes", help="comma-separated topological charges")
-    p.add_argument("--snr-db", dest="snr_db", help="comma-separated SNR axis in dB")
-    p.add_argument(
-        "--strategies",
-        help="comma-separated strategy names "
-        f"({', '.join(sorted(experiments._STRATEGY_CONFIGS))})",
-    )
-    p.add_argument("--drop-db", dest="drop_db", type=float, help="smart-window drop level in dB")
-    p.add_argument("--slot", type=float, help="noise slot width in wavelengths")
-    _add_focus_toggle(p)
-
-    p = sub.add_parser("tnr", help=_VERB_HELP["tnr"])
-    _add_common(p)
-    p.add_argument("--modes", help="comma-separated topological charges")
-    p.add_argument(
-        "--snr", dest="tnr_snr_db", type=float, help="fixed link SNR in dB for the sweep"
-    )
-    p.add_argument("--tnr-db", dest="tnr_db", help="comma-separated TNR axis in dB")
-    p.add_argument("--drop-db", dest="drop_db", type=float, help="smart-window drop level in dB")
-    p.add_argument("--slot", type=float, help="noise slot width in wavelengths")
-    _add_focus_toggle(p)
-
-    p = sub.add_parser("profiles", help=_VERB_HELP["profiles"])
-    _add_common(p)
-    p.add_argument("--modes", help="comma-separated topological charges")
-    p.add_argument("--resolution", type=int, help="samples per axis of each aperture map")
-
+    fields = {field.name: field for field in dataclasses.fields(experiments.ExperimentConfig)}
+    for verb, (_, help_line, names) in VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for name in (*_COMMON, *names):
+            _add_field(p, fields[name])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind = _VERB_KINDS[args.verb]
+    kind = VERBS[args.verb][0]
     config = experiments.default_config(kind)
     if args.config:
         config = experiments.parse_config(Path(args.config).read_text(), base=config)

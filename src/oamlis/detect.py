@@ -200,7 +200,7 @@ def demultiplex(field, n: int, radii: np.ndarray, angular_samples: int = 256) ->
     """
     if angular_samples < 4:
         raise ValueError("need at least 4 angular samples")
-    ell = topological_charge(n).ell
+    ell = topological_charge(n)
     radii = np.asarray(radii, dtype=float)
     phi = np.arange(angular_samples) * (2 * np.pi / angular_samples)
     values = field(radii[:, None], phi[None, :])
@@ -298,13 +298,6 @@ def interval_mask(interval, radii: np.ndarray) -> np.ndarray:
     lo, hi = interval
     radii = np.asarray(radii, dtype=float)
     return (radii >= lo) & (radii <= hi)
-
-
-def ook_decide(energy, threshold: float):
-    """OOK decision: 1 when energy >= threshold (boundary inclusive)."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    return np.asarray(energy) >= threshold
 
 
 def gaussian_ber(gain: float, variance: float) -> float:
@@ -530,7 +523,7 @@ def _bit_errors(branch: _Branch, bits, noise, threshold) -> int:
     """
     y = _received(branch, bits, noise)
     if branch.config.strategy == "ed":
-        decided = ook_decide(branch.energy_statistic(y), threshold)
+        decided = branch.energy_statistic(y) >= threshold
     else:
         decided = branch.coherent_statistic(y).real >= 0
     return int(np.count_nonzero(decided != (bits == 1)))

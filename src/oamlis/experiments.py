@@ -13,6 +13,7 @@ Configs serialize to a flat ``key = value`` text format; see
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,14 +28,11 @@ from .oam import (
     mode_energies,
     mode_index,
     path_gains,
-    rx_field_radial,
     topological_charge,
 )
 
 #: Geometry presets (normalized T, R) for the distance sweeps.
 PRESETS = {"equal": (10.0, 10.0), "downlink": (25.0, 5.0), "uplink": (5.0, 25.0)}
-
-KINDS = ("spectrum", "dof_vs_distance", "path_gain", "ber", "tnr", "profiles")
 
 #: Strategy names used in configs and file names, with their detector knobs.
 _STRATEGY_CONFIGS = {
@@ -47,6 +45,16 @@ _STRATEGY_CONFIGS = {
 }
 
 
+def _key(default, help: str, **cli):
+    """Config field carrying its help text and CLI flag settings.
+
+    The flag is ``--`` plus the field name with ``_`` turned into ``-``,
+    unless ``cli["flag"]`` spells it otherwise; the other ``cli`` entries
+    (``metavar``, ``choices``) go to ``argparse`` as they are.
+    """
+    return dataclasses.field(default=default, metadata={"help": help, **cli})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, serializable description of one experiment run.
@@ -55,32 +63,46 @@ class ExperimentConfig:
     on); ``spacing`` and ``slot`` are lattice pitch and noise slot width as
     wavelength fractions.  Fields not used by a given kind are ignored by
     its runner but still serialized, so one file can drive several verbs.
+    Each field is also one config key and one CLI flag; its type annotation
+    selects the value parser.
     """
 
-    kind: str = "spectrum"
-    wavelength: float = DEFAULT_WAVELENGTH
-    T: float = 10.0
-    R: float = 10.0
-    D: float = 50.0
-    distances: tuple = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0)
-    preset: str = "all"
-    threshold_db: float = -5.0
-    spacing: float = 0.5
-    slot: float = 0.25
-    max_charge: int = 15
-    n_values: int = 60
-    n_modes: int = 51
-    modes: tuple = (0, 1, 2, 3, 4)
-    strategies: tuple = ("mf", "id", "id_smart", "ed_smart")
-    snr_db: tuple = tuple(float(v) for v in range(0, 25, 2))
-    tnr_snr_db: float = 19.0
-    tnr_db: tuple = tuple(16.0 + 0.5 * k for k in range(33))
-    focused: bool = True
-    drop_db: float = 10.0
-    trials: int = 100000
-    seed: int = 0
-    resolution: int = 101
-    out: str = "results"
+    kind: str = _key("spectrum", "experiment kind, one per runner")
+    wavelength: float = _key(
+        DEFAULT_WAVELENGTH, "carrier wavelength in meters", flag="--lambda", metavar="M"
+    )
+    T: float = _key(10.0, "transmit radius in wavelengths")
+    R: float = _key(10.0, "receive radius in wavelengths")
+    D: float = _key(50.0, "link distance in wavelengths")
+    distances: tuple[float, ...] = _key(
+        (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0),
+        "comma-separated distances in wavelengths",
+    )
+    preset: str = _key("all", "geometry preset", choices=(*PRESETS, "all"))
+    threshold_db: float = _key(-5.0, "mode-count threshold in dB (energy scale, <= 0)")
+    spacing: float = _key(0.5, "lattice pitch in wavelengths")
+    slot: float = _key(0.25, "noise slot width in wavelengths")
+    max_charge: int = _key(15, "largest |charge| to evaluate")
+    n_values: int = _key(60, "singular values kept in the CSV")
+    n_modes: int = _key(51, "superposed mode count (odd)")
+    modes: tuple[int, ...] = _key((0, 1, 2, 3, 4), "comma-separated topological charges")
+    strategies: tuple[str, ...] = _key(
+        ("mf", "id", "id_smart", "ed_smart"),
+        f"comma-separated strategy names ({', '.join(sorted(_STRATEGY_CONFIGS))})",
+    )
+    snr_db: tuple[float, ...] = _key(
+        tuple(float(v) for v in range(0, 25, 2)), "comma-separated SNR axis in dB"
+    )
+    tnr_snr_db: float = _key(19.0, "fixed link SNR in dB for the sweep", flag="--snr")
+    tnr_db: tuple[float, ...] = _key(
+        tuple(16.0 + 0.5 * k for k in range(33)), "comma-separated TNR axis in dB"
+    )
+    focused: bool = _key(True, "apply the transmit focusing phase law (default)")
+    drop_db: float = _key(10.0, "smart-window drop level in dB")
+    trials: int = _key(100000, "Monte Carlo trials per point")
+    seed: int = _key(0, "master random seed")
+    resolution: int = _key(101, "samples per axis of each aperture map")
+    out: str = _key("results", "output directory for CSV files", metavar="DIR")
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -94,6 +116,15 @@ class ExperimentConfig:
             raise ValueError("threshold_db must be <= 0 dB")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.n_modes < 1 or self.n_modes % 2 == 0:
+            raise ValueError("n_modes must be odd and >= 1 for a symmetric charge set")
+        if self.resolution < 32:
+            raise ValueError("resolution must be at least 32 samples per axis")
+        for name in ("snr_db", "tnr_db"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         unknown = [name for name in self.strategies if name not in _STRATEGY_CONFIGS]
         if unknown:
             raise ValueError(
@@ -155,34 +186,19 @@ def _tuple_parser(item):
         parts = [p.strip() for p in str(raw).split(",") if p.strip()]
         return tuple(item(p) for p in parts)
 
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in errors
     return parse
 
 
-_FIELD_PARSERS = {
-    "kind": str,
-    "wavelength": float,
-    "T": float,
-    "R": float,
-    "D": float,
-    "distances": _tuple_parser(float),
-    "preset": str,
-    "threshold_db": float,
-    "spacing": float,
-    "slot": float,
-    "max_charge": int,
-    "n_values": int,
-    "n_modes": int,
-    "modes": _tuple_parser(int),
-    "strategies": _tuple_parser(str),
-    "snr_db": _tuple_parser(float),
-    "tnr_snr_db": float,
-    "tnr_db": _tuple_parser(float),
-    "focused": _parse_bool,
-    "drop_db": float,
-    "trials": int,
-    "seed": int,
-    "resolution": int,
-    "out": str,
+def _field_parser(hint):
+    if typing.get_origin(hint) is tuple:
+        return _tuple_parser(typing.get_args(hint)[0])
+    return _parse_bool if hint is bool else hint
+
+
+#: Config key -> parser of its text value, from the field annotations.
+FIELD_PARSERS = {
+    name: _field_parser(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -190,7 +206,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Flat ``key = value`` text form, keys sorted, newline-terminated."""
     lines = [
         f"{name} = {_format_value(getattr(config, name))}"
-        for name in sorted(_FIELD_PARSERS)
+        for name in sorted(FIELD_PARSERS)
     ]
     return "\n".join(lines) + "\n"
 
@@ -209,14 +225,14 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ValueError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         raw[key] = value.strip()
     kind = raw.get("kind", base.kind if base is not None else "spectrum")
     config = base if base is not None else default_config(kind)
     if config.kind != kind:
         config = default_config(kind)
-    overrides = {key: _FIELD_PARSERS[key](value) for key, value in raw.items()}
+    overrides = {key: FIELD_PARSERS[key](value) for key, value in raw.items()}
     return dataclasses.replace(config, **overrides)
 
 
@@ -226,9 +242,9 @@ def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_PARSERS:
+        if key not in FIELD_PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-        parsed[key] = _FIELD_PARSERS[key](value) if isinstance(value, str) else value
+        parsed[key] = FIELD_PARSERS[key](value) if isinstance(value, str) else value
     return dataclasses.replace(config, **parsed)
 
 
@@ -256,7 +272,7 @@ def _oam_energy_spectrum(scenario, max_charge):
     unfocused first.
     """
     n_list = list(range(1, 2 * max_charge + 2))
-    charges = [topological_charge(n).ell for n in n_list]
+    charges = [topological_charge(n) for n in n_list]
     return n_list, mode_energies(scenario, charges)
 
 
@@ -345,8 +361,6 @@ def run_dof_vs_distance(config: ExperimentConfig):
 
 def run_path_gain(config: ExperimentConfig):
     """Received-over-transmitted energy versus distance for the presets."""
-    if config.n_modes < 1 or config.n_modes % 2 == 0:
-        raise ValueError("n_modes must be odd for a symmetric charge set")
     rows = []
     for preset, (T, R) in _preset_list(config):
         for distance in config.distances:
@@ -372,8 +386,6 @@ def detector_for(name: str, drop_db: float = 10.0) -> DetectorConfig:
 def run_ber(config: ExperimentConfig):
     """Monte Carlo BER curves, one CSV per (charge, strategy), from one shared draw."""
     scenario = config.scenario()
-    if not config.snr_db:
-        raise ValueError("ber experiment needs a non-empty snr_db list")
     keys = [(charge, name) for charge in config.modes for name in config.strategies]
     curves, e_s = ber_curves(
         scenario,
@@ -397,8 +409,6 @@ def run_ber(config: ExperimentConfig):
 def run_tnr(config: ExperimentConfig):
     """Energy-detector BER versus threshold-to-noise ratio at fixed SNR, from one shared draw."""
     scenario = config.scenario()
-    if not config.tnr_db:
-        raise ValueError("tnr experiment needs a non-empty tnr_db list")
     branches = [(charge, smart) for charge in config.modes for smart in (False, True)]
     curves = tnr_curves(
         scenario,
@@ -436,6 +446,7 @@ def run_profiles(config: ExperimentConfig):
         for focused in (False, True):
             suffix = f"l{charge}_{'focused' if focused else 'unfocused'}"
             grids = emit_profile_grids(n, scenario, focused, config.resolution)
+            field = grids["rx_field"]
             for key, axis in (("tx_phase", "x_tx"), ("rx_amplitude", "x_rx"), ("rx_phase", "x_rx")):
                 values = grids[key]
                 coords = grids[axis]
@@ -447,7 +458,6 @@ def run_profiles(config: ExperimentConfig):
                 path = Path(config.out) / f"profile_{suffix}_{key}.csv"
                 extra = {"charge": charge, "focused": focused, "grid": key}
                 paths.append(_write_csv(path, ("x", "y", "value"), rows, config, extra))
-            field = rx_field_radial(n, scenario, focused)
             rows = [
                 (r, v.real, v.imag, abs(v), np.angle(v))
                 for r, v in zip(field.radii, field.samples)
@@ -468,6 +478,8 @@ RUNNERS = {
     "tnr": run_tnr,
     "profiles": run_profiles,
 }
+
+KINDS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig):

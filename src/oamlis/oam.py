@@ -32,33 +32,22 @@ QUADRATURE_STEP_FRACTION = 1 / 16
 FOCUS_STATES = (False, True)
 
 
-@dataclass(frozen=True)
-class TopologicalCharge:
-    """Signed azimuthal winding number of one OAM mode."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if abs(self.ell) > MAX_ORDER:
-            raise ValueError(f"|ell| <= {MAX_ORDER} required, got {self.ell}")
-
-
-def topological_charge(n: int) -> TopologicalCharge:
+def topological_charge(n: int) -> int:
     """Charge of the n-th mode in the standard ordering 0, +1, -1, +2, -2, ...
 
     Args:
         n: 1-based mode index.
 
     Returns:
-        TopologicalCharge with l_1 = 0, even n -> +n/2, odd n > 1 -> -(n-1)/2.
+        Signed charge l_n: l_1 = 0, even n -> +n/2, odd n > 1 -> -(n-1)/2,
+        with |l_n| <= MAX_ORDER.
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    if n == 1:
-        return TopologicalCharge(0)
-    if n % 2 == 0:
-        return TopologicalCharge(n // 2)
-    return TopologicalCharge(-(n - 1) // 2)
+    ell = n // 2 if n % 2 == 0 else -(n - 1) // 2
+    if abs(ell) > MAX_ORDER:
+        raise ValueError(f"|ell| <= {MAX_ORDER} required, got {ell}")
+    return ell
 
 
 def mode_index(ell: int) -> int:
@@ -80,7 +69,7 @@ class TxProfile:
     """
 
     n: int
-    charge: TopologicalCharge
+    charge: int
     focused: bool
     scenario: Scenario
 
@@ -96,7 +85,7 @@ class TxProfile:
 
     def angular(self, phi) -> np.ndarray:
         """Angular factor e^{j l phi} / sqrt(pi)."""
-        return np.exp(1j * self.charge.ell * np.asarray(phi, dtype=float)) / np.sqrt(np.pi)
+        return np.exp(1j * self.charge * np.asarray(phi, dtype=float)) / np.sqrt(np.pi)
 
     def evaluate(self, rho, phi) -> np.ndarray:
         return self.radial(rho) * self.angular(phi)
@@ -129,7 +118,7 @@ class RadialField:
         object.__setattr__(self, "samples", s)
 
     @property
-    def charge(self) -> TopologicalCharge:
+    def charge(self) -> int:
         return topological_charge(self.mode_index)
 
 
@@ -170,7 +159,7 @@ def rx_field_radial(
     Returns:
         RadialField on the requested grid.
     """
-    ell = topological_charge(n).ell
+    ell = topological_charge(n)
     if grid is None:
         grid = default_radial_grid(scenario)
     grid = np.asarray(grid, dtype=float)
@@ -247,7 +236,7 @@ def rx_field_radial_exact(
     sweeps.
     """
     profile = tx_profile(n, scenario, focused)
-    ell = profile.charge.ell
+    ell = profile.charge
     grid = np.asarray(grid, dtype=float)
     z = scenario.distance
     kappa = scenario.kappa
@@ -332,7 +321,7 @@ def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.nda
     """
     if n_modes < 1 or n_modes % 2 == 0:
         raise ValueError("n_modes must be odd and >= 1")
-    charges = [topological_charge(n).ell for n in range(1, n_modes + 1)]
+    charges = [topological_charge(n) for n in range(1, n_modes + 1)]
     energies = mode_energies(scenario, charges, focused)
     # Running sum in mode order: the rounding of a plain loop, not numpy's
     # pairwise blocks.
@@ -349,7 +338,7 @@ def emit_profile_grids(
     scenario: Scenario,
     focused: bool,
     resolution: int = 101,
-) -> dict[str, np.ndarray]:
+) -> dict:
     """Cartesian amplitude/phase maps of mode n at both apertures.
 
     Args:
@@ -359,14 +348,16 @@ def emit_profile_grids(
         resolution: samples per axis of each square map, >= 32.
 
     Returns:
-        Dict with axes ``x_tx``/``x_rx`` (meters) and square maps
-        ``tx_phase``, ``rx_amplitude``, ``rx_phase``; points outside the
-        disks hold NaN.  Phases in radians, wrapped to (-pi, pi].
+        Dict with axes ``x_tx``/``x_rx`` (meters), square maps
+        ``tx_phase``, ``rx_amplitude``, ``rx_phase``, and ``rx_field``, the
+        default-grid :class:`RadialField` the receive maps interpolate.
+        Map points outside the disks hold NaN.  Phases in radians, wrapped
+        to (-pi, pi].
     """
     if resolution < 32:
         raise ValueError("resolution must be at least 32 samples per axis")
     profile = tx_profile(n, scenario, focused)
-    ell = profile.charge.ell
+    ell = profile.charge
 
     x_t = np.linspace(-scenario.radius_tx, scenario.radius_tx, resolution)
     xx, yy = np.meshgrid(x_t, x_t)
@@ -395,4 +386,5 @@ def emit_profile_grids(
         "tx_phase": tx_phase,
         "rx_amplitude": rx_amplitude,
         "rx_phase": rx_phase,
+        "rx_field": field,
     }

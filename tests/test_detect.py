@@ -22,7 +22,6 @@ from oamlis.detect import (
     interval_mask,
     link_symbol_energy,
     mf_statistic,
-    ook_decide,
     optimize_threshold,
     slot_grid,
     smart_window,
@@ -229,17 +228,6 @@ def test_smart_window_rejects_flat_zero_field():
     )
     with pytest.raises(ValueError):
         smart_window(1, s, False, field=dead)
-
-
-def test_ook_decide():
-    assert not ook_decide(0.5, 1.0)
-    assert ook_decide(1.0, 1.0)
-    assert ook_decide(2.0, 1.0)
-    np.testing.assert_array_equal(
-        ook_decide(np.array([0.1, 3.0]), 1.0), np.array([False, True])
-    )
-    with pytest.raises(ValueError):
-        ook_decide(1.0, -0.5)
 
 
 def test_detector_config_validation():

@@ -1,5 +1,6 @@
 """Tests for experiment configs, CSV emission and the command line."""
 
+import argparse
 import dataclasses
 
 import numpy as np
@@ -71,6 +72,19 @@ def test_config_validation():
         ExperimentConfig(kind="ber", strategies=("mf", "bogus"))
     with pytest.raises(ValueError, match="repeat"):
         ExperimentConfig(kind="ber", modes=(0, 0))
+    with pytest.raises(ValueError, match="resolution"):
+        ExperimentConfig(resolution=31)
+    for n_modes in (0, 4):
+        with pytest.raises(ValueError, match="n_modes"):
+            ExperimentConfig(n_modes=n_modes)
+    with pytest.raises(ValueError, match="snr_db"):
+        ExperimentConfig(kind="ber", snr_db=())
+    with pytest.raises(ValueError, match="tnr_db"):
+        ExperimentConfig(kind="tnr", tnr_db=())
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        parse_config("seed = -3\n")
 
 
 def test_parse_config_overrides_and_comments():
@@ -104,6 +118,36 @@ def test_apply_overrides_coercion():
     assert updated.D == config.D
     with pytest.raises(ValueError):
         apply_overrides(config, nonsense=1)
+
+
+def test_serialize_config_bytes():
+    assert serialize_config(default_config("ber")) == (
+        "D = 100\n"
+        "R = 10\n"
+        "T = 10\n"
+        "distances = 50,100,150,200,250,300,350,400,450,500\n"
+        "drop_db = 10\n"
+        "focused = true\n"
+        "kind = ber\n"
+        "max_charge = 15\n"
+        "modes = 0,1,2,3,4\n"
+        "n_modes = 51\n"
+        "n_values = 60\n"
+        "out = results\n"
+        "preset = all\n"
+        "resolution = 101\n"
+        "seed = 0\n"
+        "slot = 0.25\n"
+        "snr_db = 0,2,4,6,8,10,12,14,16,18,20,22,24\n"
+        "spacing = 0.5\n"
+        "strategies = mf,id,id_smart,ed_smart\n"
+        "threshold_db = -5\n"
+        "tnr_db = 16,16.5,17,17.5,18,18.5,19,19.5,20,20.5,21,21.5,22,22.5,23,23.5,24,24.5,"
+        "25,25.5,26,26.5,27,27.5,28,28.5,29,29.5,30,30.5,31,31.5,32\n"
+        "tnr_snr_db = 19\n"
+        "trials = 100000\n"
+        "wavelength = 0.1\n"
+    )
 
 
 def test_detector_for_names():
@@ -353,6 +397,77 @@ def test_ber_and_tnr_draw_once_per_chunk(tmp_path, count_draws, modes, strategie
     count_draws.clear()
     run(default_config("tnr", tnr_db=(25.0,), **shared))
     assert count_draws == [CHUNK_TRIALS, 5_000]
+
+
+_COMMON_OPTIONS = [
+    (["-h", "--help"], "help"),
+    (["--config"], "config"),
+    (["--seed"], "seed"),
+    (["--out"], "out"),
+    (["--lambda"], "wavelength"),
+    (["--T"], "T"),
+    (["--R"], "R"),
+    (["--D"], "D"),
+    (["--threshold-db"], "threshold_db"),
+    (["--trials"], "trials"),
+]
+_FOCUS_OPTIONS = [(["--focused"], "focused"), (["--unfocused"], "focused")]
+_VERB_OPTIONS = {
+    "spectrum": [
+        (["--spacing"], "spacing"),
+        (["--max-charge"], "max_charge"),
+        (["--n-values"], "n_values"),
+    ],
+    "dof": [
+        (["--preset"], "preset"),
+        (["--distances"], "distances"),
+        (["--spacing"], "spacing"),
+        (["--max-charge"], "max_charge"),
+    ],
+    "pathgain": [
+        (["--preset"], "preset"),
+        (["--distances"], "distances"),
+        (["--n-modes"], "n_modes"),
+    ],
+    "ber": [
+        (["--modes"], "modes"),
+        (["--snr-db"], "snr_db"),
+        (["--strategies"], "strategies"),
+        (["--drop-db"], "drop_db"),
+        (["--slot"], "slot"),
+        *_FOCUS_OPTIONS,
+    ],
+    "tnr": [
+        (["--modes"], "modes"),
+        (["--snr"], "tnr_snr_db"),
+        (["--tnr-db"], "tnr_db"),
+        (["--drop-db"], "drop_db"),
+        (["--slot"], "slot"),
+        *_FOCUS_OPTIONS,
+    ],
+    "profiles": [
+        (["--modes"], "modes"),
+        (["--resolution"], "resolution"),
+    ],
+}
+
+
+def test_cli_options_per_verb():
+    parser = cli.build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(verbs.choices) == list(_VERB_OPTIONS)
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    for verb, sub in verbs.choices.items():
+        options = [(action.option_strings, action.dest) for action in sub._actions]
+        assert options == _COMMON_OPTIONS + _VERB_OPTIONS[verb], verb
+        assert {dest for _, dest in options} - {"help", "config"} <= fields
+
+
+def test_cli_rejects_bad_tuple_value_with_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ber", "--modes", "0,x"])
+    assert exc.value.code == 2
+    assert "--modes" in capsys.readouterr().err
 
 
 def test_cli_requires_verb(capsys):

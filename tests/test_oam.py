@@ -8,7 +8,6 @@ from oamlis import Scenario
 from oamlis.numerics import Quadrature, integrate_radial
 from oamlis.oam import (
     RadialField,
-    TopologicalCharge,
     default_radial_grid,
     emit_profile_grids,
     focused_fundamental_profile,
@@ -35,24 +34,24 @@ FROZEN_ENERGIES = {
 
 
 def test_topological_charge_ordering():
-    assert topological_charge(1).ell == 0
-    assert topological_charge(2).ell == 1
-    assert topological_charge(3).ell == -1
-    assert topological_charge(4).ell == 2
-    assert topological_charge(7).ell == -3
+    assert topological_charge(1) == 0
+    assert topological_charge(2) == 1
+    assert topological_charge(3) == -1
+    assert topological_charge(4) == 2
+    assert topological_charge(7) == -3
     with pytest.raises(ValueError):
         topological_charge(0)
 
 
 def test_mode_index_inverts_charge_map():
     for n in range(1, 40):
-        assert mode_index(topological_charge(n).ell) == n
+        assert mode_index(topological_charge(n)) == n
 
 
 def test_topological_charge_cap():
-    TopologicalCharge(64)
+    assert topological_charge(129) == -64
     with pytest.raises(ValueError):
-        TopologicalCharge(65)
+        topological_charge(130)
 
 
 def test_tx_profiles_have_unit_energy():
