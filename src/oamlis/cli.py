@@ -87,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
     kind = VERBS[args.verb][0]
     config = experiments.default_config(kind)
     if args.config:
@@ -100,7 +99,18 @@ def main(argv=None) -> int:
         for key, value in vars(args).items()
         if key not in ("verb", "config") and value is not None
     }
-    config = experiments.apply_overrides(config, **overrides)
+    return experiments.apply_overrides(config, **overrides)
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _build_config(args)
+    except ValueError as err:
+        # A config that ExperimentConfig rejects is a usage error, caught
+        # before any output is written.
+        parser.error(f"{args.verb}: {err}")
     for path in experiments.run(config):
         print(path)
     return 0

@@ -31,7 +31,13 @@ from scipy.special import erfc
 from scipy.stats import chi2, ncx2
 
 from .geometry import Scenario
-from .oam import default_radial_grid, mode_energies, mode_index, rx_field_radial, topological_charge
+from .oam import (
+    default_radial_grid,
+    mode_energies_and_fields,
+    mode_index,
+    rx_field_radial,
+    topological_charge,
+)
 
 #: Default radial slot width for noise synthesis, as a wavelength fraction.
 SLOT_WAVELENGTH_FRACTION = 0.25
@@ -394,9 +400,16 @@ def link_symbol_energy(
     allocation), so E_s is the sum of the per-mode received energies.  The
     link SNR is E_s/N0.
     """
-    energies = mode_energies(scenario, mode_set, (focused,))
+    symbol_energy, _ = _symbol_energy_and_fields(scenario, focused, mode_set)
+    return symbol_energy
+
+
+def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set, field_orders=()):
+    """E_s, and the default-grid field of each order in ``field_orders``
+    that the mode set holds, from one Bessel pass."""
+    energies, fields = mode_energies_and_fields(scenario, mode_set, (focused,), field_orders)
     # Running sum in mode order, as in path_gains.
-    return float(np.cumsum(energies, axis=1)[0, -1])
+    return float(np.cumsum(energies, axis=1)[0, -1]), {ell: f for ell, (f,) in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -447,26 +460,27 @@ def _make_branches(
     focused: bool,
     radii: np.ndarray,
     delta: float,
+    fields: dict,
 ) -> list[_Branch]:
     """One _Branch per (charge, DetectorConfig) pair.
 
-    Each charge's slot-grid template and, for smart windows, its default-grid
-    field are computed once and shared by every branch of that charge.
+    Each charge's slot-grid template is computed once and shared by every
+    branch of that charge.  A smart window reads the magnitude of the
+    default-grid field of order |l| from ``fields``, or synthesizes the
+    field when the order is missing there.
     """
     kappa = scenario.kappa
     z = scenario.distance
     compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
     templates = {}
-    fields = {}
     built = []
     for charge, config in branches:
         n = mode_index(int(charge))
         if n not in templates:
             templates[n] = rx_field_radial(n, scenario, focused, grid=radii).samples
         if config.smart:
-            if n not in fields:
-                fields[n] = rx_field_radial(n, scenario, focused)
-            window = smart_window(n, scenario, focused, config.drop_db, field=fields[n])
+            field = fields.get(abs(int(charge)))
+            window = smart_window(n, scenario, focused, config.drop_db, field=field)
             mask = interval_mask(window, radii)
             if not mask.any():
                 raise ValueError("smart window narrower than the slot grid")
@@ -592,8 +606,9 @@ def ber_curves(
         raise ValueError("branch charge must belong to the multiplexed set")
     snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
     radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    built = _make_branches(scenario, branches, focused, radii, delta)
-    symbol_energy = link_symbol_energy(scenario, focused, mode_set)
+    smart_orders = {abs(int(charge)) for charge, config in branches if config.smart}
+    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
+    built = _make_branches(scenario, branches, focused, radii, delta, fields)
 
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
     sizes = _chunk_sizes(trials)
@@ -671,8 +686,10 @@ def tnr_curves(
         (charge, DetectorConfig(strategy="ed", smart=smart, drop_db=drop_db))
         for charge, smart in branches
     ]
-    built = _make_branches(scenario, configs, focused, radii, delta)
-    n0 = link_symbol_energy(scenario, focused, mode_set) / 10 ** (snr_db / 10)
+    smart_orders = {abs(int(charge)) for charge, smart in branches if smart}
+    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
+    built = _make_branches(scenario, configs, focused, radii, delta, fields)
+    n0 = symbol_energy / 10 ** (snr_db / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
     thresholds = n0 * 10 ** (tnr_db / 10)
 

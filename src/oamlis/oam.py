@@ -30,6 +30,9 @@ RADIAL_SAMPLES = 1024
 QUADRATURE_STEP_FRACTION = 1 / 16
 #: Focus states of the multi-state evaluators, unfocused first.
 FOCUS_STATES = (False, True)
+#: Receive-grid rows per block when the Bessel kernel is gathered and
+#: integrated; bounds the kernel's working memory at any grid size.
+KERNEL_ROW_BLOCK = 128
 
 
 def topological_charge(n: int) -> int:
@@ -165,36 +168,57 @@ def rx_field_radial(
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
         raise ValueError("radial grid must lie within [0, R_R]")
-    (samples,) = _radial_samples(ell, scenario, grid, (focused,))
+    ((samples,),) = _radial_samples((ell,), scenario, grid, (focused,))
     return RadialField(radii=grid, samples=samples, mode_index=n, focused=focused)
 
 
-def _radial_samples(ell: int, scenario: Scenario, grid: np.ndarray, focus_states) -> list:
-    """Radial factor psi^rho of charge ``ell`` on ``grid``, one per focus state.
+def _radial_samples(ells, scenario: Scenario, grid: np.ndarray, focus_states):
+    """Radial factor psi^rho of each charge in ``ells`` on ``grid``.
 
-    The Bessel kernel J_l(kappa rho_R rho_T / z) does not depend on the
-    focus state, so it is built once and integrated against each chirp.
+    Yields, for each charge in order, a list with one sample array per
+    focus state.
+
+    The argument kappa rho_R rho_T / z of the Bessel kernel is the same
+    matrix for every order, and on uniform grids the same product recurs
+    many times, mostly in different rows.  So the distinct arguments are
+    found once over the whole matrix, each order evaluates J_l once per
+    distinct argument, and the kernel is gathered back and integrated in
+    blocks of grid rows.  The kernel does not depend on the focus state
+    either, so each block serves every chirp.  The result is bitwise equal
+    to evaluating J_l on the full argument matrix, per order.
     """
     z = scenario.distance
     kappa = scenario.kappa
     r_t = scenario.radius_tx
     panels = panels_for_step(r_t, scenario.wavelength * QUADRATURE_STEP_FRACTION)
     rho_t = np.linspace(0.0, r_t, panels + 1)
-    kernel = bessel_j(ell, kappa * np.outer(grid, rho_t) / z)
+    args = kappa * np.outer(grid, rho_t) / z
+    # Distinct bit patterns, so that 0.0 and -0.0 keep their own J_l.
+    distinct, inverse = np.unique(args.view(np.int64), return_inverse=True)
+    distinct = distinct.view(float)
+    inverse = inverse.astype(np.int32).reshape(args.shape)
+    del args
 
-    # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
-    unit = (1.0, 1j, -1.0, -1j)[ell % 4]
-    prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
     phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    samples = []
+    weights = []
     for focused in focus_states:
         if focused:
             chirp = np.ones_like(rho_t, dtype=complex)
         else:
             chirp = np.exp(-1j * kappa * rho_t**2 / (2 * z))
-        integral = np.trapezoid(rho_t[None, :] * chirp[None, :] * kernel, rho_t, axis=1)
-        samples.append(prefactor * phase * integral)
-    return samples
+        weights.append(rho_t * chirp)
+    for ell in ells:
+        values = bessel_j(ell, distinct)
+        integrals = np.empty((len(weights), len(grid)), dtype=complex)
+        for start in range(0, len(grid), KERNEL_ROW_BLOCK):
+            rows = slice(start, start + KERNEL_ROW_BLOCK)
+            kernel = values[inverse[rows]]
+            for integral, weight in zip(integrals, weights):
+                integral[rows] = np.trapezoid(weight * kernel, rho_t, axis=1)
+        # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
+        unit = (1.0, 1j, -1.0, -1j)[ell % 4]
+        prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
+        yield [prefactor * phase * integral for integral in integrals]
 
 
 def focused_fundamental_profile(scenario: Scenario, grid: np.ndarray) -> np.ndarray:
@@ -283,8 +307,9 @@ def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarr
     """Received energies of several charges and focus states.
 
     Bitwise equal to :func:`mode_energy` of each (charge, focus state) on
-    the default radial grid, but builds one Bessel kernel per distinct |l|:
-    the kernel serves every focus state, and E_l = E_{-l} exactly.
+    the default radial grid, but all charges share one pass: the Bessel
+    kernel is evaluated once per distinct argument and distinct |l|, serves
+    every focus state, and E_l = E_{-l} exactly.
 
     Args:
         scenario: link geometry.
@@ -294,14 +319,39 @@ def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarr
     Returns:
         Array of shape (len(focused), len(charges)).
     """
+    energies, _ = mode_energies_and_fields(scenario, charges, focused)
+    return energies
+
+
+def mode_energies_and_fields(scenario: Scenario, charges, focused=FOCUS_STATES, field_orders=()):
+    """:func:`mode_energies`, plus default-grid fields from the same pass.
+
+    Args:
+        scenario, charges, focused: as for :func:`mode_energies`.
+        field_orders: orders l >= 0 whose default-grid fields to keep;
+            orders not among the |charges| are left out.  The field of -l
+            is that of l times a unit-modulus constant, so the magnitudes
+            are bitwise equal.
+
+    Returns:
+        (energies, fields): the :func:`mode_energies` array, and a dict
+        from each kept order to its RadialFields, one per focus state.
+    """
     charges = np.array([int(ell) for ell in charges], dtype=int)
     grid = default_radial_grid(scenario)
+    orders = np.unique(np.abs(charges)).tolist()
     energies = np.empty((len(focused), len(charges)))
-    for ell in np.unique(np.abs(charges)):
+    fields = {}
+    for ell, states in zip(orders, _radial_samples(orders, scenario, grid, focused)):
         same = np.abs(charges) == ell
-        for row, samples in enumerate(_radial_samples(int(ell), scenario, grid, focused)):
+        for row, samples in enumerate(states):
             energies[row, same] = _energy(samples, grid)
-    return energies
+        if ell in field_orders:
+            fields[ell] = [
+                RadialField(radii=grid, samples=samples, mode_index=mode_index(ell), focused=state)
+                for state, samples in zip(focused, states)
+            ]
+    return energies, fields
 
 
 def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oamlis import Scenario
+from oamlis import Scenario, detect
 from oamlis.detect import (
     BerCurve,
     DetectorConfig,
@@ -412,6 +412,26 @@ def _peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
+    # Smart windows read the default-grid fields of the E_s pass, so the
+    # only fields synthesized on their own are the slot-grid templates.
+    s = Scenario.normalized(10, 10, 100)
+    grids = []
+    synthesize = detect.rx_field_radial
+
+    def spy(n, scenario, focused, grid=None):
+        grids.append(grid)
+        return synthesize(n, scenario, focused, grid)
+
+    monkeypatch.setattr(detect, "rx_field_radial", spy)
+    smart = DetectorConfig("ed", smart=True)
+    mode_set = (0, -3, 4)
+    ber_curves(s, [(ell, smart) for ell in mode_set], [8.0], 10_000, mode_set=mode_set)
+    tnr_curves(s, [(0, True), (-3, True)], 8.0, [25.0], 10_000, mode_set=mode_set)
+    assert len(grids) == 5
+    assert all(grid is not None for grid in grids)
 
 
 def test_ber_curves_peak_memory_does_not_grow_with_branches():

@@ -312,8 +312,8 @@ def test_cli_forces_verb_kind(tmp_path):
     assert meta["kind"] == "spectrum"
 
 
-def test_cli_rejects_unknown_strategy(tmp_path):
-    with pytest.raises(ValueError):
+def test_cli_rejects_unknown_strategy(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(
             [
                 "ber",
@@ -323,19 +323,48 @@ def test_cli_rejects_unknown_strategy(tmp_path):
                 str(tmp_path),
             ]
         )
+    assert exc.value.code == 2
+    assert "oamlis: error: ber: unknown strategies ['bogus']" in capsys.readouterr().err
+
+
+#: Flags of configs that ExperimentConfig rejects, with the reason given.
+BAD_BER_FLAGS = {
+    ("--modes", "0", "--strategies", "mf,bogus"): "unknown strategies ['bogus']",
+    ("--modes", "0,0", "--strategies", "mf"): "modes must not repeat a charge",
+    ("--seed", "-1"): "seed must be non-negative",
+}
+
+
+@pytest.mark.parametrize("flags", list(BAD_BER_FLAGS))
+def test_cli_rejects_bad_ber_config_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ber", *flags, "--trials", "10000", "--out", str(out)])
+    assert exc.value.code == 2
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: oamlis")
+    assert error.startswith("oamlis: error: ber: " + BAD_BER_FLAGS[flags])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "text, message",
     [
-        ["--modes", "0", "--strategies", "mf,bogus"],
-        ["--modes", "0,0", "--strategies", "mf"],
+        ("trials = 10000\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
+        ("seed = -3\n", "seed must be non-negative"),
     ],
+    ids=["unknown-key", "negative-seed"],
 )
-def test_cli_rejects_bad_ber_config_before_writing(tmp_path, flags):
+def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
     out = tmp_path / "out"
-    with pytest.raises(ValueError):
-        cli.main(["ber", *flags, "--trials", "10000", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ber", "--config", str(config), "--out", str(out)])
+    assert exc.value.code == 2
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: oamlis")
+    assert error == "oamlis: error: ber: " + message
     assert not out.exists()
 
 

@@ -1,17 +1,24 @@
 """Tests for the OAM transmit basis and Fresnel-zone propagation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oamlis import Scenario
-from oamlis.numerics import Quadrature, integrate_radial
+from oamlis.detect import slot_grid
+from oamlis.numerics import MAX_ORDER, Quadrature, bessel_j, integrate_radial, panels_for_step
 from oamlis.oam import (
+    QUADRATURE_STEP_FRACTION,
     RadialField,
     default_radial_grid,
     emit_profile_grids,
     focused_fundamental_profile,
     mode_energies,
+    mode_energies_and_fields,
     mode_energy,
     mode_index,
     path_gain,
@@ -122,6 +129,84 @@ def test_mode_energies_bitwise_equal_to_mode_energy():
     expected = [[mode_energy(mode_index(ell), s, f) for ell in charges] for f in (False, True)]
     assert_array_equal(mode_energies(s, charges), expected)
     assert_array_equal(mode_energies(s, charges, (True,)), expected[1:])
+
+
+def _full_kernel_samples(ell, s, grid):
+    """psi^rho of both focus states, unfocused first, from J_l on the full
+    argument matrix."""
+    z, kappa, r_t = s.distance, s.kappa, s.radius_tx
+    rho_t = np.linspace(0.0, r_t, panels_for_step(r_t, s.wavelength * QUADRATURE_STEP_FRACTION) + 1)
+    kernel = bessel_j(ell, kappa * np.outer(grid, rho_t) / z)
+    unit = (1.0, 1j, -1.0, -1j)[ell % 4]
+    prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
+    phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
+    samples = []
+    for chirp in (np.exp(-1j * kappa * rho_t**2 / (2 * z)), np.ones_like(rho_t, dtype=complex)):
+        integral = np.trapezoid(rho_t[None, :] * chirp[None, :] * kernel, rho_t, axis=1)
+        samples.append(prefactor * phase * integral)
+    return samples
+
+
+@pytest.mark.filterwarnings("ignore:link distance")
+@settings(max_examples=10)
+@given(
+    T=st.floats(1, 25),
+    R=st.floats(1, 25),
+    D=st.floats(20, 600),
+    charges=st.lists(st.integers(-MAX_ORDER, MAX_ORDER), min_size=1, max_size=3),
+)
+def test_radial_samples_bitwise_equal_to_full_kernel(T, R, D, charges):
+    # The shared-argument kernel must reproduce every bit of the direct
+    # formula, on the default grid and on the receiver's slot grid.
+    s = Scenario.normalized(T, R, D)
+    grid = default_radial_grid(s)
+    slots, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    expected = np.empty((2, len(charges)))
+    for col, ell in enumerate(charges):
+        n = mode_index(ell)
+        full = _full_kernel_samples(ell, s, grid)
+        on_slots = _full_kernel_samples(ell, s, slots)
+        for row, focused in enumerate((False, True)):
+            assert_array_equal(rx_field_radial(n, s, focused).samples, full[row])
+            assert_array_equal(rx_field_radial(n, s, focused, slots).samples, on_slots[row])
+            expected[row, col] = 2 * np.pi * np.trapezoid(np.abs(full[row]) ** 2 * grid, grid)
+    assert_array_equal(mode_energies(s, charges), expected)
+
+
+def test_mode_energies_and_fields_match_rx_field_radial():
+    s = Scenario.normalized(6, 3, 40)
+    charges = [0, -2, 3, 5]
+    energies, fields = mode_energies_and_fields(s, charges, field_orders=(2, 3, 7))
+    assert_array_equal(energies, mode_energies(s, charges))
+    assert sorted(fields) == [2, 3]  # 7 is not among the |charges|
+    for ell, states in fields.items():
+        for field, focused in zip(states, (False, True)):
+            assert field.focused == focused
+            assert_array_equal(field.samples, rx_field_radial(mode_index(ell), s, focused).samples)
+            # A smart window reads |psi|, which is bitwise the same for -l.
+            minus = rx_field_radial(mode_index(-ell), s, focused).samples
+            assert_array_equal(np.abs(field.samples), np.abs(minus))
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mode_energies_peak_memory_within_full_kernel():
+    # The shared arguments keep an index matrix alive across orders; the
+    # int32 index and the row-blocked kernel keep the peak below that of
+    # one full-size kernel.
+    s = Scenario.normalized(25, 5, 500)
+    grid = default_radial_grid(s)
+    charges = range(26)
+    shared = _peak_bytes(lambda: mode_energies(s, charges))
+    full = _peak_bytes(lambda: [_full_kernel_samples(ell, s, grid) for ell in charges])
+    assert shared <= full
 
 
 def test_mode_energy_scales_with_wavelength_squared():
