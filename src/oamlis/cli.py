@@ -91,7 +91,11 @@ def _build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
     kind = VERBS[args.verb][0]
     config = experiments.default_config(kind)
     if args.config:
-        config = experiments.parse_config(Path(args.config).read_text(), base=config)
+        try:
+            text = Path(args.config).read_text()
+        except OSError as err:
+            raise ValueError(f"cannot read config file {args.config}: {err.strerror}") from err
+        config = experiments.parse_config(text, base=config)
         if config.kind != kind:
             config = dataclasses.replace(config, kind=kind)
     overrides = {
@@ -108,8 +112,8 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
     except ValueError as err:
-        # A config that ExperimentConfig rejects is a usage error, caught
-        # before any output is written.
+        # An unreadable config file, or a config that ExperimentConfig
+        # rejects, is a usage error, caught before any output is written.
         parser.error(f"{args.verb}: {err}")
     for path in experiments.run(config):
         print(path)

@@ -255,13 +255,38 @@ def _metadata_lines(config: ExperimentConfig, extra: dict | None = None):
     return lines
 
 
-def _write_csv(path: Path, columns, rows, config: ExperimentConfig, extra: dict | None = None):
+#: Cell format per numpy dtype kind.  ``%.12g`` renders a float exactly as
+#: ``format(x, ".12g")`` does, and ``%d`` an integer as ``str`` does.
+_CELL_FORMATS = {"f": "%.12g", "i": "%d", "U": "%s"}
+
+
+def _format_rows(columns) -> str:
+    """Data rows of equal-length 1-D columns, each row ending in a newline.
+
+    One row template comes from the column dtypes; the cells are interleaved
+    row by row into one flat tuple and the whole table is rendered by a
+    single ``%``.  A column mixing integers and floats is a float column, so
+    its integers render as ``%.12g``, which matches ``str`` below 10**12.
+    """
+    arrays = [np.asarray(values) for values in columns]
+    n_rows = len(arrays[0])
+    cells = [None] * (n_rows * len(arrays))
+    for k, array in enumerate(arrays):
+        cells[k :: len(arrays)] = array.tolist()
+    row = ",".join(_CELL_FORMATS[array.dtype.kind] for array in arrays) + "\n"
+    return (row * n_rows) % tuple(cells)
+
+
+def _write_csv(path: Path, columns: dict, config: ExperimentConfig, extra: dict | None = None):
+    """Write metadata lines, the header of ``columns`` and their data rows.
+
+    ``columns`` maps each header name to that column's values.
+    """
     lines = _metadata_lines(config, extra)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(cell) for cell in row))
+    text = "\n".join(lines) + "\n" + _format_rows(columns.values())
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    path.write_text(text, encoding="ascii")
     return path
 
 
@@ -298,11 +323,11 @@ def run_spectrum(config: ExperimentConfig):
     svd = svd_mode_spectrum(scenario, spacing_m)
     xi1_sq = svd.reference**2
 
-    rows = []
-    keep = min(config.n_values, len(svd.values))
-    for index in range(keep):
-        xi = svd.values[index]
-        rows.append((index + 1, xi, 20 * np.log10(xi / svd.reference), "svd"))
+    xi = svd.values[: max(config.n_values, 0)]
+    # One (index, value_linear, value_db_energy_scale, label) block per strategy.
+    blocks = [
+        (np.arange(1, len(xi) + 1), xi, 20 * np.log10(xi / svd.reference), ["svd"] * len(xi))
+    ]
 
     counts = {"svd": count_modes(svd, config.threshold_db)}
     n_list, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
@@ -311,8 +336,8 @@ def run_spectrum(config: ExperimentConfig):
         counts[label] = count_modes(
             _sorted_energy_spectrum(energies), config.threshold_db, reference=xi1_sq
         )
-        for n, energy in zip(n_list, energies):
-            rows.append((n, energy, 10 * np.log10(energy / xi1_sq), label))
+        db = 10 * np.log10(energies / xi1_sq)
+        blocks.append((n_list, energies, db, [label] * len(n_list)))
 
     extra = {
         "reference_intensity": xi1_sq,
@@ -321,14 +346,35 @@ def run_spectrum(config: ExperimentConfig):
         "count_oam_focused": counts["oam_focused"],
     }
     path = Path(config.out) / "spectrum.csv"
-    columns = ("index", "value_linear", "value_db_energy_scale", "label")
-    return [_write_csv(path, columns, rows, config, extra)]
+    names = ("index", "value_linear", "value_db_energy_scale", "label")
+    columns = {name: np.concatenate(parts) for name, parts in zip(names, zip(*blocks))}
+    return [_write_csv(path, columns, config, extra)]
 
 
 def _preset_list(config: ExperimentConfig):
     if config.preset == "all":
         return list(PRESETS.items())
     return [(config.preset, PRESETS[config.preset])]
+
+
+def _distance_sweep(config: ExperimentConfig, labels, evaluate):
+    """Sweep the presets and distances; one row per scenario and label.
+
+    ``evaluate(scenario)`` returns one value per entry of ``labels``.
+    Returns the ``distance``, ``preset`` and ``label`` columns, and the
+    values as one flat list in row order.
+    """
+    sweep = [
+        (distance, preset, config.scenario(T=T, R=R, D=distance))
+        for preset, (T, R) in _preset_list(config)
+        for distance in config.distances
+    ]
+    keys = {
+        "distance": np.repeat([distance for distance, _, _ in sweep], len(labels)),
+        "preset": np.repeat([preset for _, preset, _ in sweep], len(labels)),
+        "label": list(labels) * len(sweep),
+    }
+    return keys, [value for *_, scenario in sweep for value in evaluate(scenario)]
 
 
 def run_dof_vs_distance(config: ExperimentConfig):
@@ -338,40 +384,36 @@ def run_dof_vs_distance(config: ExperimentConfig):
     counts (referenced to the strongest SVD coupling) are emitted.
     """
     spacing_m = config.spacing * config.wavelength
-    rows = []
-    for preset, (T, R) in _preset_list(config):
-        for distance in config.distances:
-            scenario = config.scenario(T=T, R=R, D=distance)
-            svd = svd_mode_spectrum(scenario, spacing_m)
-            xi1_sq = svd.reference**2
-            rows.append((distance, preset, "analytic", analytic_dof(scenario)))
-            rows.append((distance, preset, "svd", count_modes(svd, config.threshold_db)))
-            _, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
-            for focused, energies in zip(FOCUS_STATES, per_focus):
-                label = "oam_focused" if focused else "oam_unfocused"
-                count = count_modes(
-                    _sorted_energy_spectrum(energies),
-                    config.threshold_db,
-                    reference=xi1_sq,
-                )
-                rows.append((distance, preset, label, count))
+
+    def counts(scenario):
+        svd = svd_mode_spectrum(scenario, spacing_m)
+        _, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
+        oam = [
+            count_modes(
+                _sorted_energy_spectrum(energies),
+                config.threshold_db,
+                reference=svd.reference**2,
+            )
+            for energies in per_focus
+        ]
+        return [analytic_dof(scenario), count_modes(svd, config.threshold_db), *oam]
+
+    oam_labels = ("oam_focused" if focused else "oam_unfocused" for focused in FOCUS_STATES)
+    labels = ("analytic", "svd", *oam_labels)
+    keys, values = _distance_sweep(config, labels, counts)
     path = Path(config.out) / "dof_vs_distance.csv"
-    return [_write_csv(path, ("distance", "preset", "label", "value"), rows, config)]
+    return [_write_csv(path, {**keys, "value": values}, config)]
 
 
 def run_path_gain(config: ExperimentConfig):
     """Received-over-transmitted energy versus distance for the presets."""
-    rows = []
-    for preset, (T, R) in _preset_list(config):
-        for distance in config.distances:
-            scenario = config.scenario(T=T, R=R, D=distance)
-            gains = path_gains(scenario, config.n_modes)
-            for focused, eta in zip(FOCUS_STATES, gains):
-                label = "focused" if focused else "unfocused"
-                rows.append((distance, preset, label, eta, 10 * np.log10(eta)))
+    labels = tuple("focused" if focused else "unfocused" for focused in FOCUS_STATES)
+    keys, eta = _distance_sweep(
+        config, labels, lambda scenario: path_gains(scenario, config.n_modes)
+    )
+    eta = np.asarray(eta, dtype=float)
     path = Path(config.out) / "path_gain.csv"
-    columns = ("distance", "preset", "label", "eta", "eta_db")
-    return [_write_csv(path, columns, rows, config)]
+    return [_write_csv(path, {**keys, "eta": eta, "eta_db": 10 * np.log10(eta)}, config)]
 
 
 def detector_for(name: str, drop_db: float = 10.0) -> DetectorConfig:
@@ -399,10 +441,9 @@ def run_ber(config: ExperimentConfig):
     )
     paths = []
     for (charge, name), curve in zip(keys, curves):
-        rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
         extra = {"charge": charge, "strategy": name, "symbol_energy": e_s}
         path = Path(config.out) / f"ber_{name}_l{charge}.csv"
-        paths.append(_write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra))
+        paths.append(_write_csv(path, dataclasses.asdict(curve), config, extra))
     return paths
 
 
@@ -424,11 +465,10 @@ def run_tnr(config: ExperimentConfig):
     )
     paths = []
     for (charge, smart), curve in zip(branches, curves):
-        rows = list(zip(curve.axis_db, curve.ber, curve.trials, curve.ci95))
         extra = {"charge": charge, "smart": smart, "snr_db": config.tnr_snr_db}
         suffix = "smart" if smart else "full"
         path = Path(config.out) / f"tnr_ed_l{charge}_{suffix}.csv"
-        paths.append(_write_csv(path, ("axis_db", "ber", "trials", "ci95"), rows, config, extra))
+        paths.append(_write_csv(path, dataclasses.asdict(curve), config, extra))
     return paths
 
 
@@ -448,25 +488,25 @@ def run_profiles(config: ExperimentConfig):
             grids = emit_profile_grids(n, scenario, focused, config.resolution)
             field = grids["rx_field"]
             for key, axis in (("tx_phase", "x_tx"), ("rx_amplitude", "x_rx"), ("rx_phase", "x_rx")):
-                values = grids[key]
-                coords = grids[axis]
-                rows = [
-                    (coords[i], coords[j], values[j, i])
-                    for j in range(len(coords))
-                    for i in range(len(coords))
-                ]
+                # Row j*n + i holds (x_i, y_j, values[j, i]): x runs fastest.
+                x, y = np.meshgrid(grids[axis], grids[axis])
+                columns = {"x": x.ravel(), "y": y.ravel(), "value": grids[key].ravel()}
                 path = Path(config.out) / f"profile_{suffix}_{key}.csv"
                 extra = {"charge": charge, "focused": focused, "grid": key}
-                paths.append(_write_csv(path, ("x", "y", "value"), rows, config, extra))
-            rows = [
-                (r, v.real, v.imag, abs(v), np.angle(v))
-                for r, v in zip(field.radii, field.samples)
-            ]
+                paths.append(_write_csv(path, columns, config, extra))
+            samples = field.samples
+            columns = {
+                "radius": field.radii,
+                "re": samples.real,
+                "im": samples.imag,
+                # np.hypot rounds as abs() of one complex scalar does; np.abs of
+                # a complex array may take a SIMD path that differs in the last bit.
+                "abs": np.hypot(samples.real, samples.imag),
+                "phase": np.angle(samples),
+            }
             path = Path(config.out) / f"radial_{suffix}.csv"
             extra = {"charge": charge, "focused": focused}
-            paths.append(
-                _write_csv(path, ("radius", "re", "im", "abs", "phase"), rows, config, extra)
-            )
+            paths.append(_write_csv(path, columns, config, extra))
     return paths
 
 

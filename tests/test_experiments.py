@@ -2,15 +2,21 @@
 
 import argparse
 import dataclasses
+import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oamlis import cli
 from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_monte_carlo
 from oamlis.experiments import (
     KINDS,
     ExperimentConfig,
+    _format_rows,
+    _format_value,
     apply_overrides,
     default_config,
     detector_for,
@@ -148,6 +154,52 @@ def test_serialize_config_bytes():
         "trials = 100000\n"
         "wavelength = 0.1\n"
     )
+
+
+#: Floats with edge-case text forms: signed zeros, infinities, NaN,
+#: subnormals, the smallest normal and the largest finite value.
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+]
+#: Integers of an integer column: negative, and at or above 10**12, where
+#: ``%.12g`` would switch to an exponent and only ``%d`` matches ``str``.
+LARGE_INTS = [-(2**63), -1, 0, 10**12 - 1, 10**12, 10**15 + 7, 10**18, 2**63 - 1, 3, -7, 42]
+
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)),
+)
+CELLS = {
+    "float": FLOAT_CELLS,
+    "int": st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**63), 2**63 - 1)),
+    # dof's value column: integer counts next to an analytic float.
+    "mixed": st.one_of(FLOAT_CELLS, st.integers(-(10**12) + 1, 10**12 - 1)),
+    "str": st.text(alphabet=string.ascii_letters + string.digits + "_.-", max_size=12),
+}
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    return [draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+
+
+@given(tables())
+@example([SPECIAL_FLOATS, LARGE_INTS, [f"s{k}" for k in range(len(LARGE_INTS))]])
+@example([[1.5, 3, -4, 0, 10**12 - 1]])
+def test_format_rows_matches_per_cell_rendering(columns):
+    expected = "".join(
+        ",".join(_format_value(cell) for cell in row) + "\n" for row in zip(*columns)
+    )
+    assert _format_rows(columns) == expected
+
+
+def test_format_rows_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        _format_rows([[1.0, 2.0], [1.0]])
 
 
 def test_detector_for_names():
@@ -352,19 +404,21 @@ def test_cli_rejects_bad_ber_config_before_writing(tmp_path, capsys, flags):
     [
         ("trials = 10000\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
         ("seed = -3\n", "seed must be non-negative"),
+        (None, "cannot read config file {path}: No such file or directory"),
     ],
-    ids=["unknown-key", "negative-seed"],
+    ids=["unknown-key", "negative-seed", "missing-file"],
 )
 def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, message):
     config = tmp_path / "bad.cfg"
-    config.write_text(text)
+    if text is not None:  # None: the file does not exist
+        config.write_text(text)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(["ber", "--config", str(config), "--out", str(out)])
     assert exc.value.code == 2
     usage, *_, error = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: oamlis")
-    assert error == "oamlis: error: ber: " + message
+    assert error == "oamlis: error: ber: " + message.format(path=config)
     assert not out.exists()
 
 
