@@ -18,7 +18,11 @@ detector a finite slot count M.  Three decision strategies are provided:
 Monte Carlo sweeps are chunked and seeded per chunk, so results are
 reproducible for a given master seed.  The draw does not depend on the
 branch, so :func:`ber_curves` and :func:`tnr_curves` draw once per chunk and
-score every (charge, strategy) branch on it.
+score every (charge, strategy) branch on it.  No branch signal is
+synthesized: every MF/ID statistic and ED's signal x noise term are linear
+in the noise, so one projection of the chunk's noise onto the stacked branch
+templates, plus one windowed noise energy per ED window, gives every
+branch's statistic (Proakis & Salehi, Digital Communications, 2008, ch. 4).
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtr, chdtrc, chndtr, erfc
 
 from .geometry import Scenario
 from .oam import (
@@ -107,11 +110,19 @@ class NoiseModel:
         return 2 * np.pi * self.n0 / (self.radii * self.delta)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw (count, M) circular complex noise samples."""
+        """Draw (count, M) circular complex noise samples.
+
+        The real parts are drawn before the imaginary parts, and each is
+        scaled in place in the output array.
+        """
         scale = np.sqrt(self.variances() / 2)
-        real = rng.standard_normal((count, self.n_slots))
-        imag = rng.standard_normal((count, self.n_slots))
-        return (real + 1j * imag) * scale[None, :]
+        shape = (count, self.n_slots)
+        noise = np.empty(shape, dtype=complex)
+        noise.real = rng.standard_normal(shape)
+        noise.real *= scale
+        noise.imag = rng.standard_normal(shape)
+        noise.imag *= scale
+        return noise
 
 
 @dataclass(frozen=True)
@@ -334,7 +345,9 @@ def ed_ber(
     Over a window of M slots the normalized statistic Y/(pi N0) is central
     chi-square with 2M degrees of freedom for a "0" and noncentral with
     parameter 4 pi a^2 E_w / N0 for a "1", where E_w is the window's radial
-    template energy int_w |psi|^2 rho d rho.
+    template energy int_w |psi|^2 rho d rho.  The two tail probabilities
+    come from ``scipy.special`` directly; they are the values that
+    ``scipy.stats`` ``chi2.sf`` and ``ncx2.cdf`` return, bit for bit.
 
     Args:
         threshold: decision level in the statistic's energy units.
@@ -348,7 +361,8 @@ def ed_ber(
     dof = 2 * n_slots
     nc = 4 * np.pi * amplitude**2 * window_energy / n0
     normalized = threshold / (np.pi * n0)
-    return 0.5 * (chi2.sf(normalized, dof) + ncx2.cdf(normalized, dof, nc))
+    one_missed = chdtr(dof, normalized) if nc == 0 else chndtr(normalized, dof, nc)
+    return 0.5 * (chdtrc(dof, normalized) + one_missed)
 
 
 def optimize_threshold(
@@ -414,7 +428,21 @@ def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set, field
 
 @dataclass(frozen=True)
 class _Branch:
-    """Per-mode receive pipeline on the slot grid, shared by the sweeps."""
+    """Per-mode receive pipeline on the slot grid, shared by the sweeps.
+
+    For y = 2 pi s psi + n, a branch's statistic is its response to the
+    noiseless symbol plus the projection n @ template:
+
+    * MF: template conj(psi) rho delta; the statistic is s gain + n @ template.
+    * ID: template mask conj(c) rho delta, times the equalizer phase
+      conj(g)/|g| when ``equalize`` is set; the statistic is as for MF.
+    * ED: template mask conj(psi) rho delta, the cross term of
+      |2 pi s psi + n|^2; the statistic is a^2 E_w + 2 a Re(n @ template)
+      + sum_w |n|^2 rho delta with a = 2 pi s.
+
+    ``gain`` is the noiseless response to a unit symbol after equalization
+    (coherent branches only).
+    """
 
     config: DetectorConfig
     radii: np.ndarray
@@ -423,15 +451,29 @@ class _Branch:
     mask: np.ndarray
     compensation: np.ndarray
     gain: complex = field(init=False)
+    template: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.config.strategy == "mf":
+        weights = self.radii * self.delta
+        strategy = self.config.strategy
+        gain = 0.0
+        if strategy == "mf":
             gain = 2 * np.pi * mf_statistic(self.psi, self.psi, self.radii, self.delta)
-        else:
+            template = np.conj(self.psi) * weights
+        elif strategy == "id":
             gain = 2 * np.pi * id_statistic(
                 self.psi, self.mask, self.radii, self.delta, self.compensation
             )
+            template = np.where(self.mask, np.conj(self.compensation) * weights, 0)
+            if self.config.equalize:
+                if gain == 0:
+                    raise ValueError("degenerate window: zero integrated profile")
+                phase = np.conj(gain) / abs(gain)
+                gain, template = gain * phase, template * phase
+        else:
+            template = np.where(self.mask, np.conj(self.psi) * weights, 0)
         object.__setattr__(self, "gain", complex(gain))
+        object.__setattr__(self, "template", template)
 
     @property
     def window_energy(self) -> float:
@@ -439,19 +481,51 @@ class _Branch:
         w = self.mask
         return float((np.abs(self.psi[w]) ** 2 * self.radii[w] * self.delta).sum())
 
-    def coherent_statistic(self, y: np.ndarray) -> np.ndarray:
-        if self.config.strategy == "mf":
-            stat = mf_statistic(y, self.psi, self.radii, self.delta)
-        else:
-            stat = id_statistic(y, self.mask, self.radii, self.delta, self.compensation)
-            if self.config.equalize:
-                if self.gain == 0:
-                    raise ValueError("degenerate window: zero integrated profile")
-                stat = stat * (np.conj(self.gain) / abs(self.gain))
-        return stat
 
-    def energy_statistic(self, y: np.ndarray) -> np.ndarray:
-        return ed_statistic(y, self.mask, self.radii, self.delta)
+class _Scorer:
+    """Every branch's real decision statistic from one projection of the noise.
+
+    On the interleaved (re, im) float view v of the noise, Re(n @ t) is
+    v @ [Re t, -Im t], so the templates of all branches stack into one real
+    (branches x 2M) matrix; ED's noise energy is v^2 @ [w, w] for each
+    distinct window w.  The products run through ``np.einsum`` on
+    contiguous rows, which keeps them single-threaded whatever the BLAS
+    thread count.
+    """
+
+    def __init__(self, branches: list[_Branch]) -> None:
+        templates = np.stack([branch.template for branch in branches])
+        n_branches, n_slots = templates.shape
+        self.rows = np.empty((n_branches, 2 * n_slots))
+        self.rows[:, 0::2] = templates.real
+        self.rows[:, 1::2] = -templates.imag
+        is_ed = np.array([branch.config.strategy == "ed" for branch in branches])
+        self.coherent = np.flatnonzero(~is_ed)
+        self.gains = np.array([branches[b].gain.real for b in self.coherent])
+        self.ed = np.flatnonzero(is_ed)
+        self.window_energies = np.array([branches[b].window_energy for b in self.ed])
+        masks = np.array([branches[b].mask for b in self.ed]).reshape(len(self.ed), n_slots)
+        windows, self.window_of = np.unique(masks, axis=0, return_inverse=True)
+        weights = branches[0].radii * branches[0].delta
+        self.windows = np.repeat(windows * weights, 2, axis=1)
+
+    def statistics(self, bits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """(count, branches) statistics of one draw.
+
+        A branch decides "1" where its statistic reaches its threshold:
+        0 for the coherent branches, the ED threshold for the energy
+        detectors.
+        """
+        v = noise.view(float)
+        stats = np.einsum("nk,bk->nb", v, self.rows)
+        if self.coherent.size:
+            stats[:, self.coherent] += np.outer(2.0 * bits - 1.0, self.gains)
+        if self.ed.size:
+            energy = np.einsum("nk,wk->nw", np.square(v), self.windows)
+            a = (2 * np.pi * OOK_ONE_AMPLITUDE * bits)[:, None]
+            signal = a * (a * self.window_energies + 2 * stats[:, self.ed])
+            stats[:, self.ed] = signal + energy[:, self.window_of]
+        return stats
 
 
 def _make_branches(
@@ -520,41 +594,11 @@ def _draw(model: NoiseModel, seed: np.random.SeedSequence, count: int):
     return bits, model.sample(rng, count)
 
 
-def _received(branch: _Branch, bits: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Branch signal 2 pi s psi + noise, OOK for the energy detector, else BPSK."""
-    if branch.config.strategy == "ed":
-        symbols = bits * OOK_ONE_AMPLITUDE
-    else:
-        symbols = 2.0 * bits - 1.0
-    return 2 * np.pi * symbols[:, None] * branch.psi[None, :] + noise
-
-
-def _bit_errors(branch: _Branch, bits, noise, threshold) -> int:
-    """Decision errors of one branch on a shared draw.
-
-    The branch's signal lives only inside this call, so scoring several
-    branches in turn holds one signal array at a time.
-    """
-    y = _received(branch, bits, noise)
-    if branch.config.strategy == "ed":
-        decided = branch.energy_statistic(y) >= threshold
-    else:
-        decided = branch.coherent_statistic(y).real >= 0
-    return int(np.count_nonzero(decided != (bits == 1)))
-
-
-def _threshold_errors(branch: _Branch, bits, noise, thresholds) -> np.ndarray:
-    """Energy-detector errors of one branch at every threshold of a sweep."""
-    energy = branch.energy_statistic(_received(branch, bits, noise))
-    decided = energy[:, None] >= thresholds[None, :]
-    return np.count_nonzero(decided != (bits == 1)[:, None], axis=0)
-
-
-def _ed_threshold(branch: _Branch, n0: float) -> float | None:
-    """Energy-detector threshold at noise level n0; None for coherent branches."""
+def _decision_threshold(branch: _Branch, n0: float) -> float:
+    """Level a branch's statistic must reach to decide "1" at noise level n0."""
     config = branch.config
     if config.strategy != "ed":
-        return None
+        return 0.0
     if config.threshold is not None:
         return config.threshold
     zeta, _ = optimize_threshold(n0, int(branch.mask.sum()), branch.window_energy)
@@ -575,9 +619,10 @@ def ber_curves(
 
     The SNR axis is the link-level E_s/N0 of the full multiplexed set with
     equal power allocation; each point sets N0 = E_s / snr.  Per trial a
-    symbol is drawn, each branch's post-demultiplexing signal
-    2 pi x psi + noise is synthesized on the slot grid and the branch's
-    statistic decides.  For the energy detector without an explicit
+    symbol is drawn, and each branch's statistic of the post-demultiplexing
+    signal 2 pi x psi + noise on the slot grid decides; the statistics come
+    from one projection of the noise (see :class:`_Scorer`), not from a
+    synthesized signal per branch.  For the energy detector without an explicit
     threshold, the closed-form optimum threshold is used at each point.
 
     The bits and the noise depend only on the seed, the SNR point and the
@@ -609,6 +654,7 @@ def ber_curves(
     smart_orders = {abs(int(charge)) for charge, config in branches if config.smart}
     symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
     built = _make_branches(scenario, branches, focused, radii, delta, fields)
+    scorer = _Scorer(built)
 
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
     sizes = _chunk_sizes(trials)
@@ -616,11 +662,11 @@ def ber_curves(
     for k, (snr, point_seed) in enumerate(zip(snr_db, point_seeds)):
         n0 = symbol_energy / 10 ** (snr / 10)
         model = NoiseModel(n0=n0, radii=radii, delta=delta)
-        zetas = [_ed_threshold(branch, n0) for branch in built]
+        zetas = np.array([_decision_threshold(branch, n0) for branch in built])
         for chunk, chunk_seed in zip(sizes, point_seed.spawn(len(sizes))):
             bits, noise = _draw(model, chunk_seed, chunk)
-            for b, (branch, zeta) in enumerate(zip(built, zetas)):
-                errors[b, k] += _bit_errors(branch, bits, noise, zeta)
+            decided = scorer.statistics(bits, noise) >= zetas
+            errors[:, k] += np.count_nonzero(decided != (bits == 1)[:, None], axis=0)
     counts = np.full(len(snr_db), trials)
     return [BerCurve.from_counts(snr_db, row, counts) for row in errors], symbol_energy
 
@@ -688,17 +734,17 @@ def tnr_curves(
     ]
     smart_orders = {abs(int(charge)) for charge, smart in branches if smart}
     symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
-    built = _make_branches(scenario, configs, focused, radii, delta, fields)
+    scorer = _Scorer(_make_branches(scenario, configs, focused, radii, delta, fields))
     n0 = symbol_energy / 10 ** (snr_db / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
     thresholds = n0 * 10 ** (tnr_db / 10)
 
-    errors = np.zeros((len(built), len(tnr_db)))
+    errors = np.zeros((len(configs), len(tnr_db)))
     sizes = _chunk_sizes(trials)
     for chunk, chunk_seed in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         bits, noise = _draw(model, chunk_seed, chunk)
-        for b, branch in enumerate(built):
-            errors[b] += _threshold_errors(branch, bits, noise, thresholds)
+        decided = scorer.statistics(bits, noise)[:, :, None] >= thresholds
+        errors += np.count_nonzero(decided != (bits == 1)[:, None, None], axis=0)
     counts = np.full(len(tnr_db), trials)
     return [BerCurve.from_counts(tnr_db, row, counts) for row in errors]
 

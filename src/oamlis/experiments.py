@@ -118,6 +118,10 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.n_values < 1:
+            raise ValueError("n_values must be at least 1")
+        if self.max_charge < 0:
+            raise ValueError("max_charge must be non-negative")
         if self.n_modes < 1 or self.n_modes % 2 == 0:
             raise ValueError("n_modes must be odd and >= 1 for a symmetric charge set")
         if self.resolution < 32:
@@ -323,7 +327,7 @@ def run_spectrum(config: ExperimentConfig):
     svd = svd_mode_spectrum(scenario, spacing_m)
     xi1_sq = svd.reference**2
 
-    xi = svd.values[: max(config.n_values, 0)]
+    xi = svd.values[: config.n_values]
     # One (index, value_linear, value_db_energy_scale, label) block per strategy.
     blocks = [
         (np.arange(1, len(xi) + 1), xi, 20 * np.log10(xi / svd.reference), ["svd"] * len(xi))

@@ -5,10 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import chi2, ncx2
 
 from oamlis import Scenario, detect
 from oamlis.detect import (
+    DEFAULT_MODE_SET,
+    OOK_ONE_AMPLITUDE,
     BerCurve,
     DetectorConfig,
     NoiseModel,
@@ -28,6 +33,7 @@ from oamlis.detect import (
     tnr_curves,
     tnr_sweep,
 )
+from oamlis.experiments import detector_for
 from oamlis.oam import RadialField, mode_energy, mode_index, rx_field_radial
 
 
@@ -83,6 +89,19 @@ def test_noise_model_sample_statistics():
     measured = np.mean(np.abs(draws) ** 2, axis=0)
     assert_allclose(measured, model.variances(), rtol=0.02)
     assert np.all(np.abs(draws.mean(axis=0)) < 0.05 * np.sqrt(model.variances()))
+
+
+def test_noise_model_sample_matches_the_complex_product_bitwise():
+    radii, delta = slot_grid(1.0, wavelength=0.1)
+    model = NoiseModel(n0=0.7, radii=radii, delta=delta)
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    draws = model.sample(rng, 1000)
+    scale = np.sqrt(model.variances() / 2)
+    real = reference.standard_normal((1000, model.n_slots))
+    imag = reference.standard_normal((1000, model.n_slots))
+    expected = (real + 1j * imag) * scale[None, :]
+    assert_array_equal(draws.view(np.uint64), expected.view(np.uint64))
+    assert rng.random() == reference.random()
 
 
 def test_demultiplex_recovers_pure_modes():
@@ -279,6 +298,49 @@ def test_ed_ber_limits():
         ed_ber(-1.0, 0.1, 20, 1.0)
 
 
+def _ed_ber_oracle(threshold, n0, n_slots, window_energy, amplitude=OOK_ONE_AMPLITUDE):
+    """ed_ber through scipy.stats, the distribution objects' public API."""
+    dof = 2 * n_slots
+    nc = 4 * np.pi * amplitude**2 * window_energy / n0
+    normalized = threshold / (np.pi * n0)
+    return 0.5 * (chi2.sf(normalized, dof) + ncx2.cdf(normalized, dof, nc))
+
+
+@settings(max_examples=300)
+@given(
+    n_slots=st.integers(1, 100),
+    n0=st.floats(1e-3, 10.0),
+    window_energy=st.one_of(st.just(0.0), st.floats(1e-4, 50.0)),
+    level=st.one_of(
+        st.just(0.0), st.just(math.inf), st.just(1e300), st.floats(0.0, 5.0), st.floats(5.0, 1e3)
+    ),
+)
+@example(n_slots=1, n0=1.0, window_energy=0.0, level=0.0)
+@example(n_slots=100, n0=0.01, window_energy=0.0, level=math.inf)
+@example(n_slots=100, n0=0.01, window_energy=10.0, level=1e300)
+@example(n_slots=10, n0=1.0, window_energy=0.0, level=0.96)
+@example(n_slots=36, n0=1.0, window_energy=0.0, level=1.3177)
+def test_ed_ber_is_bitwise_the_scipy_stats_formula(n_slots, n0, window_energy, level):
+    # level scales the threshold by the statistic's noise-only mean.  At
+    # nc = 0, ncx2.cdf is chdtr, which differs from chndtr(x, dof, 0) in
+    # the last bits (the last two examples).
+    threshold = level * 2 * np.pi * n0 * n_slots
+    got = ed_ber(threshold, n0, n_slots, window_energy)
+    want = _ed_ber_oracle(threshold, n0, n_slots, window_energy)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "n0, n_slots, window_energy", [(0.05, 20, 1.2), (0.3, 40, 0.02), (2e-3, 7, 4.0)]
+)
+def test_optimize_threshold_is_unchanged_on_the_scipy_stats_formula(
+    monkeypatch, n0, n_slots, window_energy
+):
+    found = optimize_threshold(n0, n_slots, window_energy)
+    monkeypatch.setattr(detect, "ed_ber", _ed_ber_oracle)
+    assert optimize_threshold(n0, n_slots, window_energy) == found
+
+
 def test_optimize_threshold_matches_grid_scan():
     n0, n_slots, window_energy = 0.05, 20, 1.2
     zeta, best = optimize_threshold(n0, n_slots, window_energy)
@@ -434,9 +496,47 @@ def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
     assert all(grid is not None for grid in grids)
 
 
+def _oracle_statistic(branch, bits, noise):
+    """A branch's real decision statistic of y = 2 pi s psi + n, by the
+    public statistic functions on the synthesized signal."""
+    config = branch.config
+    args = (branch.radii, branch.delta)
+    if config.strategy == "ed":
+        y = 2 * np.pi * (bits * OOK_ONE_AMPLITUDE)[:, None] * branch.psi + noise
+        return ed_statistic(y, branch.mask, *args)
+    y = 2 * np.pi * (2.0 * bits - 1.0)[:, None] * branch.psi + noise
+    if config.strategy == "mf":
+        return mf_statistic(y, branch.psi, *args).real
+    stat = id_statistic(y, branch.mask, *args, branch.compensation)
+    if config.equalize:
+        gain = id_statistic(branch.psi, branch.mask, *args, branch.compensation)
+        stat = stat * (np.conj(gain) / abs(gain))
+    return stat.real
+
+
+def test_scorer_matches_the_statistics_of_the_synthesized_signal():
+    s = Scenario.normalized(10, 10, 100)
+    names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
+    pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
+    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    built = detect._make_branches(s, pairs, True, radii, delta, {})
+    n0 = link_symbol_energy(s, True, DEFAULT_MODE_SET) / 10 ** (6.0 / 10)
+    model = NoiseModel(n0=n0, radii=radii, delta=delta)
+    bits, noise = detect._draw(model, np.random.SeedSequence(3), 10_000)
+    stats = detect._Scorer(built).statistics(bits, noise)
+    for b, branch in enumerate(built):
+        oracle = _oracle_statistic(branch, bits, noise)
+        assert_allclose(stats[:, b], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+        zeta = detect._decision_threshold(branch, n0)
+        errors = np.count_nonzero((stats[:, b] >= zeta) != (bits == 1))
+        assert errors == np.count_nonzero((oracle >= zeta) != (bits == 1))
+        assert 0 < errors < len(bits) / 2
+
+
 def test_ber_curves_peak_memory_does_not_grow_with_branches():
-    # Each branch's signal is freed before the next branch is scored, so
-    # six branches peak within one chunk's signal array of one branch.
+    # Every branch is scored from one projection of the chunk's noise; a
+    # branch adds a column of statistics, not a signal array, so six
+    # branches peak within one chunk's complex noise array of one branch.
     s = Scenario.normalized(10, 10, 100)
     detectors = (
         DetectorConfig("mf"),

@@ -3,13 +3,18 @@
 import argparse
 import dataclasses
 import math
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oamlis
 from oamlis import cli
 from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_monte_carlo
 from oamlis.experiments import (
@@ -89,6 +94,10 @@ def test_config_validation():
         ExperimentConfig(kind="tnr", tnr_db=())
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError, match="n_values"):
+        ExperimentConfig(n_values=0)
+    with pytest.raises(ValueError, match="max_charge"):
+        ExperimentConfig(max_charge=-1)
     with pytest.raises(ValueError, match="seed"):
         parse_config("seed = -3\n")
 
@@ -399,6 +408,25 @@ def test_cli_rejects_bad_ber_config_before_writing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+#: Flags of spectrum configs that ExperimentConfig rejects, with the reason.
+BAD_SPECTRUM_FLAGS = {
+    ("--n-values", "-3"): "n_values must be at least 1",
+    ("--max-charge", "-1"): "max_charge must be non-negative",
+}
+
+
+@pytest.mark.parametrize("flags", list(BAD_SPECTRUM_FLAGS))
+def test_cli_rejects_bad_spectrum_config_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", *flags, "--T", "3", "--R", "3", "--D", "20", "--out", str(out)])
+    assert exc.value.code == 2
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: oamlis")
+    assert error == "oamlis: error: spectrum: " + BAD_SPECTRUM_FLAGS[flags]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -480,6 +508,54 @@ def test_ber_and_tnr_draw_once_per_chunk(tmp_path, count_draws, modes, strategie
     count_draws.clear()
     run(default_config("tnr", tnr_db=(25.0,), **shared))
     assert count_draws == [CHUNK_TRIALS, 5_000]
+
+
+def _python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this checkout's oamlis."""
+    src = str(Path(oamlis.__file__).resolve().parents[1])
+    full_env = {**os.environ, **(env or {})}
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=full_env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def _csv_bytes_without_out_line(directory: Path) -> dict:
+    return {
+        path.relative_to(directory).as_posix(): [
+            line for line in path.read_text().splitlines() if not line.startswith("# out")
+        ]
+        for path in sorted(directory.rglob("*.csv"))
+    }
+
+
+def test_ber_and_tnr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The scoring products avoid threaded BLAS, so no reduction order, and
+    # hence no decision near a threshold, can change with the thread count.
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _python(
+            "import sys\n"
+            "from oamlis import cli\n"
+            "for verb in ('ber', 'tnr'):\n"
+            "    cli.main([verb, '--trials', '10000', '--out', f'{sys.argv[1]}/{verb}'])\n",
+            str(out),
+            env={"OPENBLAS_NUM_THREADS": threads},
+        )
+        outputs[threads] = _csv_bytes_without_out_line(out)
+    assert len(outputs["1"]) == 30
+    assert outputs["1"] == outputs["2"]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs every CLI run a third of a second of import time.
+    done = _python("import sys, oamlis.cli; print('scipy.stats' in sys.modules)")
+    assert done.stdout.strip() == "False"
 
 
 _COMMON_OPTIONS = [
