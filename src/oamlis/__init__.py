@@ -39,11 +39,9 @@ from .detect import (
     DetectorConfig,
     NoiseModel,
     ber_curves,
-    ber_monte_carlo,
     demultiplex,
     smart_window,
     tnr_curves,
-    tnr_sweep,
 )
 from .experiments import ExperimentConfig, default_config, parse_config, serialize_config, run
 
@@ -75,11 +73,9 @@ __all__ = [
     "DetectorConfig",
     "NoiseModel",
     "ber_curves",
-    "ber_monte_carlo",
     "demultiplex",
     "smart_window",
     "tnr_curves",
-    "tnr_sweep",
     "ExperimentConfig",
     "default_config",
     "parse_config",

@@ -16,13 +16,16 @@ detector a finite slot count M.  Three decision strategies are provided:
   the central/noncentral chi-square statistics of the slot model.
 
 Monte Carlo sweeps are chunked and seeded per chunk, so results are
-reproducible for a given master seed.  The draw does not depend on the
-branch, so :func:`ber_curves` and :func:`tnr_curves` draw once per chunk and
-score every (charge, strategy) branch on it.  No branch signal is
-synthesized: every MF/ID statistic and ED's signal x noise term are linear
-in the noise, so one projection of the chunk's noise onto the stacked branch
-templates, plus one windowed noise energy per ED window, gives every
-branch's statistic (Proakis & Salehi, Digital Communications, 2008, ch. 4).
+reproducible for a given master seed.  Both sweeps take (charge,
+:class:`DetectorConfig`) branches: :func:`ber_curves` over the link SNR,
+:func:`tnr_curves` over the energy detector's threshold at a fixed SNR.
+They share one setup and one error-count loop.  The draw does not depend on
+the branch, so each chunk is drawn once and every branch is scored on it.
+No branch signal is synthesized: every MF/ID statistic and ED's signal x
+noise term are linear in the noise, so one projection of the chunk's noise
+onto the stacked branch templates, plus one windowed noise energy per ED
+window, gives every branch's statistic (Proakis & Salehi, Digital
+Communications, 2008, ch. 4).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from scipy.special import chdtr, chdtrc, chndtr, erfc
 
 from .geometry import Scenario
 from .oam import (
-    default_radial_grid,
+    _radial_samples,
     mode_energies_and_fields,
     mode_index,
     rx_field_radial,
@@ -46,6 +49,8 @@ from .oam import (
 SLOT_WAVELENGTH_FRACTION = 0.25
 #: Trials per Monte Carlo chunk; fixed so runs are seed-reproducible.
 CHUNK_TRIALS = 25000
+#: Fewest Monte Carlo trials per point that a sweep accepts.
+MIN_TRIALS = 10000
 #: OOK "one" amplitude; average symbol energy then matches unit-amplitude BPSK.
 OOK_ONE_AMPLITUDE = math.sqrt(2.0)
 #: Default multiplexed charge set for link-level SNR bookkeeping.
@@ -96,11 +101,6 @@ class NoiseModel:
             raise ValueError("slot width must be positive")
         object.__setattr__(self, "radii", r)
 
-    @classmethod
-    def for_scenario(cls, scenario: Scenario, n0: float, slot: float | None = None) -> "NoiseModel":
-        radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-        return cls(n0=n0, radii=radii, delta=delta)
-
     @property
     def n_slots(self) -> int:
         return len(self.radii)
@@ -129,17 +129,17 @@ class NoiseModel:
 class DetectorConfig:
     """Receiver strategy and its knobs.
 
-    The modulation is tied to the strategy: the energy detector is
-    non-coherent and uses OOK, the coherent MF/ID statistics use BPSK.
-    Leave ``modulation`` empty to derive it.
+    The strategy fixes the modulation: the energy detector ("ed") is
+    non-coherent and uses OOK, the coherent "mf" and "id" use BPSK.
+    ``smart`` restricts ID and ED to the radial window within ``drop_db``
+    of the mode's intensity peak, instead of the full aperture;
+    ``equalize`` closes ID's loop with a single-tap phase equalizer.
     """
 
     strategy: str
     smart: bool = False
     drop_db: float = 10.0
     equalize: bool = True
-    threshold: float | None = None
-    modulation: str = ""
 
     def __post_init__(self) -> None:
         strategy = self.strategy.lower()
@@ -148,16 +148,6 @@ class DetectorConfig:
         object.__setattr__(self, "strategy", strategy)
         if self.drop_db <= 0:
             raise ValueError("window drop level must be positive dB")
-        expected = "ook" if strategy == "ed" else "bpsk"
-        modulation = (self.modulation or expected).lower()
-        if modulation != expected:
-            raise ValueError(f"{strategy} requires {expected} modulation, got {modulation}")
-        object.__setattr__(self, "modulation", modulation)
-        if self.threshold is not None:
-            if strategy != "ed":
-                raise ValueError("a decision threshold applies to the energy detector only")
-            if self.threshold < 0:
-                raise ValueError("threshold must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -235,6 +225,16 @@ def mf_statistic(y: np.ndarray, template: np.ndarray, radii: np.ndarray, delta: 
     return (y * np.conj(template) * radii * delta).sum(axis=-1)
 
 
+def _check_window(window, radii):
+    window = np.asarray(window, dtype=bool)
+    radii = np.asarray(radii, dtype=float)
+    if window.shape != radii.shape:
+        raise ValueError("window mask and grid lengths must match")
+    if not window.any():
+        raise ValueError("integration window is empty")
+    return window, radii
+
+
 def id_statistic(
     y: np.ndarray,
     window: np.ndarray,
@@ -248,12 +248,7 @@ def id_statistic(
     phase (the propagation chirp) before integrating; it leaves the noise
     variance of the statistic unchanged.
     """
-    window = np.asarray(window, dtype=bool)
-    radii = np.asarray(radii, dtype=float)
-    if window.shape != radii.shape:
-        raise ValueError("window mask and grid lengths must match")
-    if not window.any():
-        raise ValueError("integration window is empty")
+    window, radii = _check_window(window, radii)
     y = np.asarray(y)[..., window]
     kernel = radii[window] * delta
     if compensation is not None:
@@ -263,12 +258,7 @@ def id_statistic(
 
 def ed_statistic(y: np.ndarray, window: np.ndarray, radii: np.ndarray, delta: float) -> float:
     """Windowed energy sum_{i in w} |y_i|^2 rho_i delta (non-negative)."""
-    window = np.asarray(window, dtype=bool)
-    radii = np.asarray(radii, dtype=float)
-    if window.shape != radii.shape:
-        raise ValueError("window mask and grid lengths must match")
-    if not window.any():
-        raise ValueError("integration window is empty")
+    window, radii = _check_window(window, radii)
     y = np.asarray(y)[..., window]
     return (np.abs(y) ** 2 * radii[window] * delta).sum(axis=-1)
 
@@ -494,6 +484,7 @@ class _Scorer:
     """
 
     def __init__(self, branches: list[_Branch]) -> None:
+        self.branches = branches
         templates = np.stack([branch.template for branch in branches])
         n_branches, n_slots = templates.shape
         self.rows = np.empty((n_branches, 2 * n_slots))
@@ -538,53 +529,31 @@ def _make_branches(
 ) -> list[_Branch]:
     """One _Branch per (charge, DetectorConfig) pair.
 
-    Each charge's slot-grid template is computed once and shared by every
-    branch of that charge.  A smart window reads the magnitude of the
-    default-grid field of order |l| from ``fields``, or synthesizes the
-    field when the order is missing there.
+    The slot-grid templates of all distinct charges come from one radial
+    pass, and each is shared by every branch of its charge.  A smart window
+    reads the magnitude of the default-grid field of order |l| in
+    ``fields``, which must hold every smart branch's order.
     """
     kappa = scenario.kappa
     z = scenario.distance
     compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    templates = {}
+    charges = list(dict.fromkeys(int(charge) for charge, _ in branches))
+    passes = _radial_samples(charges, scenario, radii, (focused,))
+    templates = {charge: samples for charge, (samples,) in zip(charges, passes)}
     built = []
     for charge, config in branches:
-        n = mode_index(int(charge))
-        if n not in templates:
-            templates[n] = rx_field_radial(n, scenario, focused, grid=radii).samples
+        charge = int(charge)
         if config.smart:
-            field = fields.get(abs(int(charge)))
-            window = smart_window(n, scenario, focused, config.drop_db, field=field)
+            window = smart_window(
+                mode_index(charge), scenario, focused, config.drop_db, field=fields[abs(charge)]
+            )
             mask = interval_mask(window, radii)
             if not mask.any():
                 raise ValueError("smart window narrower than the slot grid")
         else:
             mask = np.ones(len(radii), dtype=bool)
-        built.append(
-            _Branch(
-                config=config,
-                radii=radii,
-                delta=delta,
-                psi=templates[n],
-                mask=mask,
-                compensation=compensation,
-            )
-        )
+        built.append(_Branch(config, radii, delta, templates[charge], mask, compensation))
     return built
-
-
-def _check_trials(trials: int) -> int:
-    trials = int(trials)
-    if trials < 10000:
-        raise ValueError("at least 10^4 trials per point are required")
-    return trials
-
-
-def _chunk_sizes(trials: int):
-    sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)
-    if trials % CHUNK_TRIALS:
-        sizes.append(trials % CHUNK_TRIALS)
-    return sizes
 
 
 def _draw(model: NoiseModel, seed: np.random.SeedSequence, count: int):
@@ -595,14 +564,63 @@ def _draw(model: NoiseModel, seed: np.random.SeedSequence, count: int):
 
 
 def _decision_threshold(branch: _Branch, n0: float) -> float:
-    """Level a branch's statistic must reach to decide "1" at noise level n0."""
-    config = branch.config
-    if config.strategy != "ed":
+    """Level a branch's statistic must reach to decide "1" at noise level n0:
+    0 for the coherent branches, the closed-form optimum for the energy
+    detector."""
+    if branch.config.strategy != "ed":
         return 0.0
-    if config.threshold is not None:
-        return config.threshold
     zeta, _ = optimize_threshold(n0, int(branch.mask.sum()), branch.window_energy)
     return zeta
+
+
+def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_set, slot):
+    """Scorer of the branches, E_s of ``mode_set``, and the slot noise per SNR.
+
+    Checks the trial count and that every branch charge belongs to
+    ``mode_set``.  One radial pass gives E_s and the default-grid fields
+    that the smart windows read; a second gives the slot-grid templates.
+
+    Returns:
+        (scorer, symbol_energy, noise_at): ``noise_at(snr_db)`` is the
+        NoiseModel on the slot grid at N0 = E_s / 10^(snr_db/10).
+    """
+    if trials < MIN_TRIALS:
+        raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
+    members = {int(m) for m in mode_set}
+    if any(int(charge) not in members for charge, _ in branches):
+        raise ValueError("branch charge must belong to the multiplexed set")
+    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
+    smart_orders = {abs(int(charge)) for charge, config in branches if config.smart}
+    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
+    scorer = _Scorer(_make_branches(scenario, branches, focused, radii, delta, fields))
+
+    def noise_at(snr_db: float) -> NoiseModel:
+        return NoiseModel(n0=symbol_energy / 10 ** (snr_db / 10), radii=radii, delta=delta)
+
+    return scorer, symbol_energy, noise_at
+
+
+def _count_errors(
+    scorer: _Scorer,
+    model: NoiseModel,
+    seed_sequence: np.random.SeedSequence,
+    trials: int,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """(branches, levels) bit error counts over ``trials`` symbols.
+
+    The trials are drawn in chunks of CHUNK_TRIALS, each seeded by one child
+    of ``seed_sequence``.  ``thresholds`` broadcasts to (branches, levels):
+    a branch decides "1" at a level where its statistic reaches it.
+    """
+    full, rest = divmod(trials, CHUNK_TRIALS)
+    sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
+    errors = 0
+    for chunk, chunk_seed in zip(sizes, seed_sequence.spawn(len(sizes))):
+        bits, noise = _draw(model, chunk_seed, chunk)
+        decided = scorer.statistics(bits, noise)[:, :, None] >= thresholds
+        errors = errors + np.count_nonzero(decided != (bits == 1)[:, None, None], axis=0)
+    return errors
 
 
 def ber_curves(
@@ -622,8 +640,8 @@ def ber_curves(
     symbol is drawn, and each branch's statistic of the post-demultiplexing
     signal 2 pi x psi + noise on the slot grid decides; the statistics come
     from one projection of the noise (see :class:`_Scorer`), not from a
-    synthesized signal per branch.  For the energy detector without an explicit
-    threshold, the closed-form optimum threshold is used at each point.
+    synthesized signal per branch.  The energy detector decides at the
+    closed-form optimum threshold of each point.
 
     The bits and the noise depend only on the seed, the SNR point and the
     chunk, so they are drawn once per (point, chunk) and every branch is
@@ -635,7 +653,7 @@ def ber_curves(
         branches: (charge, DetectorConfig) pairs; every charge must belong
             to ``mode_set``.
         snr_db_list: link SNR axis in dB.
-        trials: Monte Carlo symbols per point (>= 10^4).
+        trials: Monte Carlo symbols per point (>= MIN_TRIALS).
         seed: master seed; point and chunk streams are spawned from it.
         focused: transmit focusing of the whole mode set.
         mode_set: multiplexed charges defining E_s.
@@ -645,58 +663,16 @@ def ber_curves(
         (curves, symbol_energy): one BerCurve over the SNR axis per branch,
         in branch order, and the E_s that the axis refers to.
     """
-    trials = _check_trials(trials)
-    members = {int(m) for m in mode_set}
-    if any(int(charge) not in members for charge, _ in branches):
-        raise ValueError("branch charge must belong to the multiplexed set")
+    scorer, e_s, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot)
     snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
-    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    smart_orders = {abs(int(charge)) for charge, config in branches if config.smart}
-    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
-    built = _make_branches(scenario, branches, focused, radii, delta, fields)
-    scorer = _Scorer(built)
-
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
-    sizes = _chunk_sizes(trials)
-    errors = np.zeros((len(built), len(snr_db)))
+    errors = np.zeros((len(scorer.branches), len(snr_db)))
     for k, (snr, point_seed) in enumerate(zip(snr_db, point_seeds)):
-        n0 = symbol_energy / 10 ** (snr / 10)
-        model = NoiseModel(n0=n0, radii=radii, delta=delta)
-        zetas = np.array([_decision_threshold(branch, n0) for branch in built])
-        for chunk, chunk_seed in zip(sizes, point_seed.spawn(len(sizes))):
-            bits, noise = _draw(model, chunk_seed, chunk)
-            decided = scorer.statistics(bits, noise) >= zetas
-            errors[:, k] += np.count_nonzero(decided != (bits == 1)[:, None], axis=0)
+        model = noise_at(snr)
+        zetas = np.array([[_decision_threshold(branch, model.n0)] for branch in scorer.branches])
+        errors[:, k] = _count_errors(scorer, model, point_seed, trials, zetas)[:, 0]
     counts = np.full(len(snr_db), trials)
-    return [BerCurve.from_counts(snr_db, row, counts) for row in errors], symbol_energy
-
-
-def ber_monte_carlo(
-    scenario: Scenario,
-    charge: int,
-    config: DetectorConfig,
-    snr_db_list,
-    trials: int,
-    seed: int = 0,
-    focused: bool = True,
-    mode_set=DEFAULT_MODE_SET,
-    slot: float | None = None,
-) -> BerCurve:
-    """Monte Carlo BER of one branch over an SNR sweep; see :func:`ber_curves`.
-
-    Args:
-        charge: topological charge of the branch under test (must be in
-            ``mode_set``).
-        config: receiver strategy and knobs.
-
-    Returns:
-        BerCurve over the SNR axis.
-    """
-    (curve,), _ = ber_curves(
-        scenario, [(charge, config)], snr_db_list, trials,
-        seed=seed, focused=focused, mode_set=mode_set, slot=slot,
-    )
-    return curve
+    return [BerCurve.from_counts(snr_db, row, counts) for row in errors], e_s
 
 
 def tnr_curves(
@@ -708,7 +684,6 @@ def tnr_curves(
     seed: int = 0,
     focused: bool = True,
     mode_set=DEFAULT_MODE_SET,
-    drop_db: float = 10.0,
     slot: float | None = None,
 ) -> list[BerCurve]:
     """Monte Carlo energy-detector BER of several branches over a TNR sweep.
@@ -719,56 +694,23 @@ def tnr_curves(
     sampling noise, and each curve equals a one-branch run at the same seed.
 
     Args:
-        branches: (charge, smart) pairs; ``smart`` selects the smart window
-            at ``drop_db`` instead of the full aperture.
+        branches: (charge, DetectorConfig) pairs as for :func:`ber_curves`;
+            every config must be an energy detector ("ed"), and its
+            ``smart`` and ``drop_db`` select the window.
+        snr_db: fixed link SNR in dB.
+        tnr_db_list: threshold-to-noise axis in dB.
+
+    The other arguments are those of :func:`ber_curves`.
 
     Returns:
         One BerCurve over the TNR axis per branch, in branch order.
     """
-    trials = _check_trials(trials)
+    if any(config.strategy != "ed" for _, config in branches):
+        raise ValueError("a TNR sweep takes energy-detector branches only")
+    scorer, _, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot)
     tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
-    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    configs = [
-        (charge, DetectorConfig(strategy="ed", smart=smart, drop_db=drop_db))
-        for charge, smart in branches
-    ]
-    smart_orders = {abs(int(charge)) for charge, smart in branches if smart}
-    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
-    scorer = _Scorer(_make_branches(scenario, configs, focused, radii, delta, fields))
-    n0 = symbol_energy / 10 ** (snr_db / 10)
-    model = NoiseModel(n0=n0, radii=radii, delta=delta)
-    thresholds = n0 * 10 ** (tnr_db / 10)
-
-    errors = np.zeros((len(configs), len(tnr_db)))
-    sizes = _chunk_sizes(trials)
-    for chunk, chunk_seed in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        bits, noise = _draw(model, chunk_seed, chunk)
-        decided = scorer.statistics(bits, noise)[:, :, None] >= thresholds
-        errors += np.count_nonzero(decided != (bits == 1)[:, None, None], axis=0)
+    model = noise_at(snr_db)
+    thresholds = model.n0 * 10 ** (tnr_db / 10)
+    errors = _count_errors(scorer, model, np.random.SeedSequence(seed), trials, thresholds)
     counts = np.full(len(tnr_db), trials)
     return [BerCurve.from_counts(tnr_db, row, counts) for row in errors]
-
-
-def tnr_sweep(
-    scenario: Scenario,
-    charge: int,
-    snr_db: float,
-    tnr_db_list,
-    smart: bool,
-    trials: int,
-    seed: int = 0,
-    focused: bool = True,
-    mode_set=DEFAULT_MODE_SET,
-    drop_db: float = 10.0,
-    slot: float | None = None,
-) -> BerCurve:
-    """Monte Carlo energy-detector BER of one branch; see :func:`tnr_curves`.
-
-    Returns:
-        BerCurve over the TNR axis.
-    """
-    (curve,) = tnr_curves(
-        scenario, [(charge, smart)], snr_db, tnr_db_list, trials,
-        seed=seed, focused=focused, mode_set=mode_set, drop_db=drop_db, slot=slot,
-    )
-    return curve

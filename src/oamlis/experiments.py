@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import DetectorConfig, ber_curves, tnr_curves
+from .detect import MIN_TRIALS, DetectorConfig, ber_curves, tnr_curves
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
+from .numerics import MAX_ORDER
 from .oam import (
     FOCUS_STATES,
     emit_profile_grids,
@@ -114,8 +115,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.threshold_db > 0:
             raise ValueError("threshold_db must be <= 0 dB")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if self.trials < MIN_TRIALS:
+            raise ValueError(f"trials must be at least {MIN_TRIALS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_values < 1:
@@ -124,6 +125,11 @@ class ExperimentConfig:
             raise ValueError("max_charge must be non-negative")
         if self.n_modes < 1 or self.n_modes % 2 == 0:
             raise ValueError("n_modes must be odd and >= 1 for a symmetric charge set")
+        # Charges beyond the largest supported Bessel order fail here, not mid-run.
+        if self.max_charge > MAX_ORDER:
+            raise ValueError(f"max_charge must be at most {MAX_ORDER}")
+        if self.n_modes > 2 * MAX_ORDER + 1:
+            raise ValueError(f"n_modes must be at most {2 * MAX_ORDER + 1}")
         if self.resolution < 32:
             raise ValueError("resolution must be at least 32 samples per axis")
         for name in ("snr_db", "tnr_db"):
@@ -136,6 +142,8 @@ class ExperimentConfig:
             )
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes must not repeat a charge, got {self.modes}")
+        if any(abs(charge) > MAX_ORDER for charge in self.modes):
+            raise ValueError(f"modes must have |charge| <= {MAX_ORDER}, got {self.modes}")
 
     def scenario(self, T=None, R=None, D=None) -> Scenario:
         return Scenario.normalized(
@@ -454,7 +462,11 @@ def run_ber(config: ExperimentConfig):
 def run_tnr(config: ExperimentConfig):
     """Energy-detector BER versus threshold-to-noise ratio at fixed SNR, from one shared draw."""
     scenario = config.scenario()
-    branches = [(charge, smart) for charge in config.modes for smart in (False, True)]
+    branches = [
+        (charge, DetectorConfig("ed", smart=smart, drop_db=config.drop_db))
+        for charge in config.modes
+        for smart in (False, True)
+    ]
     curves = tnr_curves(
         scenario,
         branches,
@@ -464,13 +476,12 @@ def run_tnr(config: ExperimentConfig):
         seed=config.seed,
         focused=config.focused,
         mode_set=config.modes,
-        drop_db=config.drop_db,
         slot=config.slot * config.wavelength,
     )
     paths = []
-    for (charge, smart), curve in zip(branches, curves):
-        extra = {"charge": charge, "smart": smart, "snr_db": config.tnr_snr_db}
-        suffix = "smart" if smart else "full"
+    for (charge, detector), curve in zip(branches, curves):
+        extra = {"charge": charge, "smart": detector.smart, "snr_db": config.tnr_snr_db}
+        suffix = "smart" if detector.smart else "full"
         path = Path(config.out) / f"tnr_ed_l{charge}_{suffix}.csv"
         paths.append(_write_csv(path, dataclasses.asdict(curve), config, extra))
     return paths

@@ -18,7 +18,7 @@ from oamlis import Scenario
 from oamlis.detect import (
     DetectorConfig,
     NoiseModel,
-    ber_monte_carlo,
+    ber_curves,
     demultiplex,
     gaussian_ber,
     id_statistic,
@@ -28,7 +28,7 @@ from oamlis.detect import (
     optimize_threshold,
     slot_grid,
     smart_window,
-    tnr_sweep,
+    tnr_curves,
 )
 from oamlis.geometry import analytic_dof
 from oamlis.modes import ModeSpectrum, count_modes, svd_mode_spectrum
@@ -168,8 +168,8 @@ def test_criterion_07_matched_filter_ber():
     for ell in (0, 2, 4):
         psi = rx_field_radial(mode_index(ell), scenario, True, grid=radii).samples
         e_rad = float((np.abs(psi) ** 2 * radii * delta).sum())
-        curve = ber_monte_carlo(
-            scenario, ell, DetectorConfig("mf"), snr_db, trials=trials, seed=ell + 1
+        (curve,), _ = ber_curves(
+            scenario, [(ell, DetectorConfig("mf"))], snr_db, trials=trials, seed=ell + 1
         )
         for snr, measured in zip(snr_db, curve.ber):
             n0 = e_s / 10 ** (snr / 10)
@@ -250,11 +250,16 @@ def test_criterion_09_energy_detector_thresholds():
     n0 = e_s / 10 ** (snr_db / 10)
     sigma = math.sqrt(0.25 / trials)
 
+    def ed_curve(ell, smart, seed):
+        branch = [(ell, DetectorConfig("ed", smart=smart))]
+        (curve,) = tnr_curves(scenario, branch, snr_db, tnr_db, trials=trials, seed=seed)
+        return curve
+
     interior_ok = True
     best_tnr = []
     closed_smart_better = True
     for ell in range(5):
-        curve = tnr_sweep(scenario, ell, snr_db, tnr_db, smart=False, trials=trials, seed=11 + ell)
+        curve = ed_curve(ell, False, 11 + ell)
         k = int(np.argmin(curve.ber))
         interior_ok = interior_ok and 0 < k < len(tnr_db) - 1
         interior_ok = interior_ok and curve.ber[0] > curve.ber[k] + 5 * sigma
@@ -277,8 +282,8 @@ def test_criterion_09_energy_detector_thresholds():
 
     mc_smart_better = True
     for ell in (0, 4):
-        full = tnr_sweep(scenario, ell, snr_db, tnr_db, smart=False, trials=trials, seed=31 + ell)
-        smart = tnr_sweep(scenario, ell, snr_db, tnr_db, smart=True, trials=trials, seed=41 + ell)
+        full = ed_curve(ell, False, 31 + ell)
+        smart = ed_curve(ell, True, 41 + ell)
         a, b = full.ber.min(), smart.ber.min()
         gap_sigma = math.sqrt((a * (1 - a) + b * (1 - b)) / trials)
         mc_smart_better = mc_smart_better and b < a - 3 * gap_sigma

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import chi2, ncx2
 
-from oamlis import Scenario, detect
+from oamlis import Scenario, detect, oam
 from oamlis.detect import (
     DEFAULT_MODE_SET,
     OOK_ONE_AMPLITUDE,
@@ -18,7 +18,6 @@ from oamlis.detect import (
     DetectorConfig,
     NoiseModel,
     ber_curves,
-    ber_monte_carlo,
     demultiplex,
     ed_ber,
     ed_statistic,
@@ -31,10 +30,9 @@ from oamlis.detect import (
     slot_grid,
     smart_window,
     tnr_curves,
-    tnr_sweep,
 )
 from oamlis.experiments import detector_for
-from oamlis.oam import RadialField, mode_energy, mode_index, rx_field_radial
+from oamlis.oam import RadialField, default_radial_grid, mode_energy, mode_index, rx_field_radial
 
 
 def test_slot_grid_default_layout():
@@ -250,17 +248,9 @@ def test_smart_window_rejects_flat_zero_field():
 
 
 def test_detector_config_validation():
-    assert DetectorConfig("mf").modulation == "bpsk"
-    assert DetectorConfig("ed").modulation == "ook"
-    DetectorConfig("ed", threshold=0.5)
+    assert DetectorConfig("ED").strategy == "ed"
     with pytest.raises(ValueError):
         DetectorConfig("bogus")
-    with pytest.raises(ValueError):
-        DetectorConfig("mf", modulation="ook")
-    with pytest.raises(ValueError):
-        DetectorConfig("mf", threshold=1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig("ed", threshold=-1.0)
     with pytest.raises(ValueError):
         DetectorConfig("id", drop_db=0.0)
 
@@ -362,26 +352,26 @@ def test_link_symbol_energy_composition():
 def test_ber_monte_carlo_input_validation():
     s = Scenario.normalized(10, 10, 100)
     with pytest.raises(ValueError):
-        ber_monte_carlo(s, 0, DetectorConfig("mf"), [6.0], trials=500)
+        ber_curves(s, [(0, DetectorConfig("mf"))], [6.0], trials=500)
     with pytest.raises(ValueError):
-        ber_monte_carlo(s, 7, DetectorConfig("mf"), [6.0], trials=20_000)
+        ber_curves(s, [(7, DetectorConfig("mf"))], [6.0], trials=20_000)
 
 
 def test_ber_monte_carlo_is_deterministic():
     s = Scenario.normalized(10, 10, 100)
-    first = ber_monte_carlo(s, 1, DetectorConfig("mf"), [4.0, 8.0], trials=10_000, seed=9)
-    second = ber_monte_carlo(s, 1, DetectorConfig("mf"), [4.0, 8.0], trials=10_000, seed=9)
+    branch = [(1, DetectorConfig("mf"))]
+    first = ber_curves(s, branch, [4.0, 8.0], trials=10_000, seed=9)[0][0]
+    second = ber_curves(s, branch, [4.0, 8.0], trials=10_000, seed=9)[0][0]
     assert np.array_equal(first.ber, second.ber)
     assert not np.array_equal(
-        first.ber,
-        ber_monte_carlo(s, 1, DetectorConfig("mf"), [4.0, 8.0], trials=10_000, seed=10).ber,
+        first.ber, ber_curves(s, branch, [4.0, 8.0], trials=10_000, seed=10)[0][0].ber
     )
 
 
 def test_mf_monte_carlo_matches_closed_form():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
-    curve = ber_monte_carlo(s, 0, DetectorConfig("mf"), [7.0], trials=trials, seed=2)
+    curve = ber_curves(s, [(0, DetectorConfig("mf"))], [7.0], trials=trials, seed=2)[0][0]
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
     psi = rx_field_radial(1, s, True, grid=radii).samples
     e_rad = (np.abs(psi) ** 2 * radii * delta).sum()
@@ -399,8 +389,9 @@ def test_ed_monte_carlo_matches_closed_form():
     e_rad = (np.abs(psi) ** 2 * radii * delta).sum()
     n0 = link_symbol_energy(s, True) / 10 ** (12.0 / 10)
     zeta, expected = optimize_threshold(n0, len(radii), e_rad)
-    config = DetectorConfig("ed", threshold=float(zeta))
-    curve = ber_monte_carlo(s, 0, config, [12.0], trials=trials, seed=4)
+    # The energy detector at the fixed threshold zeta, as a one-point TNR sweep.
+    tnr_db = 10 * math.log10(zeta / n0)
+    (curve,) = tnr_curves(s, [(0, DetectorConfig("ed"))], 12.0, [tnr_db], trials=trials, seed=4)
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(curve.ber[0] - expected) < 3 * sigma
 
@@ -411,9 +402,9 @@ def test_receiver_ordering_at_fixed_snr():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
     kwargs = dict(trials=trials, seed=6, focused=True)
-    mf = ber_monte_carlo(s, 0, DetectorConfig("mf"), [10.0], **kwargs).ber[0]
-    smart = ber_monte_carlo(s, 0, DetectorConfig("id", smart=True), [10.0], **kwargs).ber[0]
-    full = ber_monte_carlo(s, 0, DetectorConfig("id"), [10.0], **kwargs).ber[0]
+    mf = ber_curves(s, [(0, DetectorConfig("mf"))], [10.0], **kwargs)[0][0].ber[0]
+    smart = ber_curves(s, [(0, DetectorConfig("id", smart=True))], [10.0], **kwargs)[0][0].ber[0]
+    full = ber_curves(s, [(0, DetectorConfig("id"))], [10.0], **kwargs)[0][0].ber[0]
     assert mf <= smart + 0.01
     assert smart + 0.05 < full
 
@@ -421,19 +412,20 @@ def test_receiver_ordering_at_fixed_snr():
 def test_tnr_sweep_extremes_and_minimum():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
-    curve = tnr_sweep(s, 0, 19.0, [-60.0, 25.0, 80.0], smart=False, trials=trials, seed=8)
+    branch = [(0, DetectorConfig("ed"))]
+    (curve,) = tnr_curves(s, branch, 19.0, [-60.0, 25.0, 80.0], trials=trials, seed=8)
     sigma = 3 * math.sqrt(0.25 / trials)
     assert abs(curve.ber[0] - 0.5) < sigma
     assert abs(curve.ber[-1] - 0.5) < sigma
     assert curve.ber[1] < 0.45
-    repeat = tnr_sweep(s, 0, 19.0, [-60.0, 25.0, 80.0], smart=False, trials=trials, seed=8)
+    (repeat,) = tnr_curves(s, branch, 19.0, [-60.0, 25.0, 80.0], trials=trials, seed=8)
     assert np.array_equal(curve.ber, repeat.ber)
 
 
 def test_tnr_sweep_requires_enough_trials():
     s = Scenario.normalized(10, 10, 100)
     with pytest.raises(ValueError):
-        tnr_sweep(s, 0, 19.0, [25.0], smart=False, trials=100)
+        tnr_curves(s, [(0, DetectorConfig("ed"))], 19.0, [25.0], trials=100)
 
 
 def test_ber_curves_match_one_branch_runs():
@@ -450,7 +442,7 @@ def test_ber_curves_match_one_branch_runs():
     assert e_s == link_symbol_energy(s, True)
     assert len(curves) == len(branches)
     for (charge, config), curve in zip(branches, curves):
-        single = ber_monte_carlo(s, charge, config, [6.0, 12.0], **kwargs)
+        (single,), _ = ber_curves(s, [(charge, config)], [6.0, 12.0], **kwargs)
         assert_array_equal(curve.ber, single.ber)
         assert_array_equal(curve.ci95, single.ci95)
     with pytest.raises(ValueError):
@@ -459,12 +451,18 @@ def test_ber_curves_match_one_branch_runs():
 
 def test_tnr_curves_match_one_branch_runs():
     s = Scenario.normalized(10, 10, 100)
-    branches = [(0, False), (0, True), (4, False), (4, True)]
+    branches = [
+        (ell, DetectorConfig("ed", smart=smart)) for ell in (0, 4) for smart in (False, True)
+    ]
     tnr_db = [20.0, 25.0, 30.0]
     curves = tnr_curves(s, branches, 19.0, tnr_db, trials=10_000, seed=5)
-    for (charge, smart), curve in zip(branches, curves):
-        single = tnr_sweep(s, charge, 19.0, tnr_db, smart=smart, trials=10_000, seed=5)
+    for branch, curve in zip(branches, curves):
+        (single,) = tnr_curves(s, [branch], 19.0, tnr_db, trials=10_000, seed=5)
         assert_array_equal(curve.ber, single.ber)
+    with pytest.raises(ValueError, match="energy-detector"):
+        tnr_curves(s, [*branches, (0, DetectorConfig("mf"))], 19.0, tnr_db, trials=10_000)
+    with pytest.raises(ValueError, match="multiplexed set"):
+        tnr_curves(s, [(7, DetectorConfig("ed"))], 19.0, tnr_db, trials=10_000)
 
 
 def _peak_bytes(call) -> int:
@@ -477,23 +475,36 @@ def _peak_bytes(call) -> int:
 
 
 def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
-    # Smart windows read the default-grid fields of the E_s pass, so the
-    # only fields synthesized on their own are the slot-grid templates.
+    # Smart windows read the default-grid fields of the E_s pass, and the
+    # slot-grid templates of all charges come from one more radial pass:
+    # two passes per sweep, whatever the number of charges, and no
+    # per-charge field synthesis.
     s = Scenario.normalized(10, 10, 100)
-    grids = []
-    synthesize = detect.rx_field_radial
+    radial_passes = []
+    radial = oam._radial_samples
 
-    def spy(n, scenario, focused, grid=None):
-        grids.append(grid)
-        return synthesize(n, scenario, focused, grid)
+    def spy(ells, scenario, grid, focus_states):
+        radial_passes.append(len(grid))
+        return radial(ells, scenario, grid, focus_states)
 
-    monkeypatch.setattr(detect, "rx_field_radial", spy)
+    def per_charge(*args, **kwargs):
+        raise AssertionError("a sweep synthesized one charge's field")
+
+    monkeypatch.setattr(oam, "_radial_samples", spy)
+    monkeypatch.setattr(detect, "_radial_samples", spy)
+    monkeypatch.setattr(detect, "rx_field_radial", per_charge)
     smart = DetectorConfig("ed", smart=True)
     mode_set = (0, -3, 4)
-    ber_curves(s, [(ell, smart) for ell in mode_set], [8.0], 10_000, mode_set=mode_set)
-    tnr_curves(s, [(0, True), (-3, True)], 8.0, [25.0], 10_000, mode_set=mode_set)
-    assert len(grids) == 5
-    assert all(grid is not None for grid in grids)
+    slots = len(slot_grid(s.radius_rx, wavelength=s.wavelength)[0])
+    sweeps = (
+        lambda: ber_curves(s, [(ell, smart) for ell in mode_set], [8.0], 10_000, mode_set=mode_set),
+        lambda: ber_curves(s, [(4, DetectorConfig("mf"))], [8.0], 10_000, mode_set=mode_set),
+        lambda: tnr_curves(s, [(0, smart), (-3, smart)], 8.0, [25.0], 10_000, mode_set=mode_set),
+    )
+    for sweep in sweeps:
+        radial_passes.clear()
+        sweep()
+        assert radial_passes == [len(default_radial_grid(s)), slots]
 
 
 def _oracle_statistic(branch, bits, noise):
@@ -519,8 +530,9 @@ def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
     pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    built = detect._make_branches(s, pairs, True, radii, delta, {})
-    n0 = link_symbol_energy(s, True, DEFAULT_MODE_SET) / 10 ** (6.0 / 10)
+    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET, {0, 4})
+    built = detect._make_branches(s, pairs, True, radii, delta, fields)
+    n0 = e_s / 10 ** (6.0 / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
     bits, noise = detect._draw(model, np.random.SeedSequence(3), 10_000)
     stats = detect._Scorer(built).statistics(bits, noise)

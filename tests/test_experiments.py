@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oamlis
 from oamlis import cli
-from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_monte_carlo
+from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_curves
 from oamlis.experiments import (
     KINDS,
     ExperimentConfig,
@@ -65,7 +65,7 @@ def test_kind_defaults():
     assert profiles.modes == (0, 1, 3)
     gains = default_config("path_gain")
     assert gains.distances[0] == 50.0 and gains.distances[1] == 75.0
-    assert default_config("ber", trials=5000).trials == 5000
+    assert default_config("ber", trials=20_000).trials == 20_000
 
 
 def test_config_validation():
@@ -393,6 +393,8 @@ BAD_BER_FLAGS = {
     ("--modes", "0", "--strategies", "mf,bogus"): "unknown strategies ['bogus']",
     ("--modes", "0,0", "--strategies", "mf"): "modes must not repeat a charge",
     ("--seed", "-1"): "seed must be non-negative",
+    ("--modes", "0,65", "--strategies", "mf"): "modes must have |charge| <= 64",
+    ("--trials", "500"): "trials must be at least 10000",
 }
 
 
@@ -400,7 +402,7 @@ BAD_BER_FLAGS = {
 def test_cli_rejects_bad_ber_config_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["ber", *flags, "--trials", "10000", "--out", str(out)])
+        cli.main(["ber", "--trials", "10000", *flags, "--out", str(out)])
     assert exc.value.code == 2
     usage, *_, error = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: oamlis")
@@ -412,6 +414,7 @@ def test_cli_rejects_bad_ber_config_before_writing(tmp_path, capsys, flags):
 BAD_SPECTRUM_FLAGS = {
     ("--n-values", "-3"): "n_values must be at least 1",
     ("--max-charge", "-1"): "max_charge must be non-negative",
+    ("--max-charge", "70"): "max_charge must be at most 64",
 }
 
 
@@ -433,8 +436,9 @@ def test_cli_rejects_bad_spectrum_config_before_writing(tmp_path, capsys, flags)
         ("trials = 10000\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
         ("seed = -3\n", "seed must be non-negative"),
         (None, "cannot read config file {path}: No such file or directory"),
+        ("n_modes = 131\n", "n_modes must be at most 129"),
     ],
-    ids=["unknown-key", "negative-seed", "missing-file"],
+    ids=["unknown-key", "negative-seed", "missing-file", "too-many-modes"],
 )
 def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, message):
     config = tmp_path / "bad.cfg"
@@ -466,10 +470,9 @@ def test_run_ber_shares_one_draw_across_curves(tmp_path):
     assert len(paths) == 15
     for path in paths:
         meta, _, rows = read_csv(path)
-        alone = ber_monte_carlo(
+        (alone,), _ = ber_curves(
             config.scenario(),
-            int(meta["charge"]),
-            detector_for(meta["strategy"], config.drop_db),
+            [(int(meta["charge"]), detector_for(meta["strategy"], config.drop_db))],
             config.snr_db,
             trials=config.trials,
             seed=config.seed,
