@@ -24,13 +24,11 @@ from .geometry import Scenario, analytic_dof, fraunhofer_distance
 from .modes import SurfaceGrid, ModeSpectrum, disk_grid, coupling_matrix, count_modes
 from .numerics import Quadrature, bessel_j, integrate_radial, svd_spectrum
 from .oam import (
-    RadialField,
     TxProfile,
+    field_energies,
     mode_energies,
-    mode_energy,
-    path_gain,
     path_gains,
-    rx_field_radial,
+    radial_fields,
     topological_charge,
     tx_profile,
 )
@@ -60,13 +58,11 @@ __all__ = [
     "bessel_j",
     "integrate_radial",
     "svd_spectrum",
-    "RadialField",
     "TxProfile",
+    "field_energies",
     "mode_energies",
-    "mode_energy",
-    "path_gain",
     "path_gains",
-    "rx_field_radial",
+    "radial_fields",
     "topological_charge",
     "tx_profile",
     "BerCurve",

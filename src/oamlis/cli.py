@@ -1,11 +1,13 @@
 """Command line front end: one verb per experiment, CSV artifacts out.
 
 Precedence of settings, lowest to highest: the verb's built-in defaults,
-then the ``--config`` file, then explicit flags.  Every run prints the
-paths of the files it wrote.
+then the ``--config`` file, then explicit flags.  A config file may set any
+key, but the verb fixes the kind.  Every run prints the paths of the files
+it wrote.
 
 Each flag is one :class:`~oamlis.experiments.ExperimentConfig` field: its
-help text, spelling and value parser all come from the field.
+help text, spelling and value parser all come from the field.  A verb
+exposes only the flags its runner reads.
 """
 
 from __future__ import annotations
@@ -18,19 +20,22 @@ from pathlib import Path
 from . import experiments
 
 #: Flags every verb takes, after ``--config``.
-_COMMON = ("seed", "out", "wavelength", "T", "R", "D", "threshold_db", "trials")
+_COMMON = ("out", "wavelength")
+#: Link geometry of the one-scenario verbs, and the Monte Carlo knobs.
+_GEOMETRY = ("T", "R", "D")
+_MONTE_CARLO = ("trials", "seed")
 
 #: Verb -> (experiment kind, help line, config fields exposed as flags).
 VERBS = {
     "spectrum": (
         "spectrum",
         "coupling intensities of SVD and OAM modes for one geometry",
-        ("spacing", "max_charge", "n_values"),
+        (*_GEOMETRY, "threshold_db", "spacing", "max_charge", "n_values"),
     ),
     "dof": (
         "dof_vs_distance",
         "well-coupled mode counts versus link distance",
-        ("preset", "distances", "spacing", "max_charge"),
+        ("preset", "distances", "threshold_db", "spacing", "max_charge"),
     ),
     "pathgain": (
         "path_gain",
@@ -40,17 +45,17 @@ VERBS = {
     "ber": (
         "ber",
         "Monte Carlo BER versus SNR for the receiver strategies",
-        ("modes", "snr_db", "strategies", "drop_db", "slot", "focused"),
+        (*_GEOMETRY, "modes", "snr_db", "strategies", "drop_db", "slot", "focused", *_MONTE_CARLO),
     ),
     "tnr": (
         "tnr",
         "energy-detector BER versus decision threshold at fixed SNR",
-        ("modes", "tnr_snr_db", "tnr_db", "drop_db", "slot", "focused"),
+        (*_GEOMETRY, "modes", "tnr_snr_db", "tnr_db", "drop_db", "slot", "focused", *_MONTE_CARLO),
     ),
     "profiles": (
         "profiles",
         "aperture phase/amplitude maps and radial field cuts",
-        ("modes", "resolution"),
+        (*_GEOMETRY, "modes", "resolution"),
     ),
 }
 
@@ -89,21 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
     kind = VERBS[args.verb][0]
-    config = experiments.default_config(kind)
+    settings = {}
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise ValueError(f"cannot read config file {args.config}: {err.strerror}") from err
-        config = experiments.parse_config(text, base=config)
-        if config.kind != kind:
-            config = dataclasses.replace(config, kind=kind)
-    overrides = {
-        key: value
+        settings = experiments.parse_config_keys(text)
+    # The verb fixes the kind, so its defaults are the base whatever the file says.
+    settings["kind"] = kind
+    settings.update(
+        (key, value)
         for key, value in vars(args).items()
         if key not in ("verb", "config") and value is not None
-    }
-    return experiments.apply_overrides(config, **overrides)
+    )
+    return experiments.apply_overrides(experiments.default_config(kind), **settings)
 
 
 def main(argv=None) -> int:

@@ -37,13 +37,7 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr, erfc
 
 from .geometry import Scenario
-from .oam import (
-    _radial_samples,
-    mode_energies_and_fields,
-    mode_index,
-    rx_field_radial,
-    topological_charge,
-)
+from .oam import default_radial_grid, field_energies, radial_fields, topological_charge
 
 #: Default radial slot width for noise synthesis, as a wavelength fraction.
 SLOT_WAVELENGTH_FRACTION = 0.25
@@ -263,29 +257,27 @@ def ed_statistic(y: np.ndarray, window: np.ndarray, radii: np.ndarray, delta: fl
     return (np.abs(y) ** 2 * radii[window] * delta).sum(axis=-1)
 
 
-def smart_window(n: int, scenario: Scenario, focused: bool, drop_db: float = 10.0, field=None):
-    """Radial interval around the mode's intensity peak.
+def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = 10.0):
+    """Radial interval around a sampled field's intensity peak.
 
     Returns the smallest contiguous interval that contains the peak of
-    |psi_n^rho| and on which the magnitude stays within ``drop_db`` of the
+    |psi^rho| and on which the magnitude stays within ``drop_db`` of the
     peak.
 
     Args:
-        n: mode index.
-        scenario: link geometry.
-        focused: transmit focusing flag.
+        radii: ascending radial grid of the samples.
+        field: radial field samples on ``radii``.
         drop_db: window edge level below the peak, in dB (> 0).
-        field: optional precomputed RadialField to window instead of
-            synthesizing mode n.
 
     Returns:
         (rho_lo, rho_hi) in meters.
     """
     if drop_db <= 0:
         raise ValueError("drop level must be positive dB")
-    if field is None:
-        field = rx_field_radial(n, scenario, focused)
-    magnitude = np.abs(field.samples)
+    radii = np.asarray(radii, dtype=float)
+    magnitude = np.abs(np.asarray(field))
+    if magnitude.shape != radii.shape:
+        raise ValueError("field and grid lengths must match")
     peak = magnitude.max()
     if peak == 0:
         raise ValueError("degenerate field: flat zero profile has no window")
@@ -297,7 +289,7 @@ def smart_window(n: int, scenario: Scenario, focused: bool, drop_db: float = 10.
     hi = index
     while hi < len(above) - 1 and above[hi + 1]:
         hi += 1
-    return float(field.radii[lo]), float(field.radii[hi])
+    return float(radii[lo]), float(radii[hi])
 
 
 def interval_mask(interval, radii: np.ndarray) -> np.ndarray:
@@ -408,12 +400,14 @@ def link_symbol_energy(
     return symbol_energy
 
 
-def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set, field_orders=()):
-    """E_s, and the default-grid field of each order in ``field_orders``
-    that the mode set holds, from one Bessel pass."""
-    energies, fields = mode_energies_and_fields(scenario, mode_set, (focused,), field_orders)
+def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set):
+    """E_s, and the default-grid field of each charge of ``mode_set`` by
+    charge, from one radial pass."""
+    grid = default_radial_grid(scenario)
+    (fields,) = radial_fields(scenario, mode_set, (focused,), grid)
     # Running sum in mode order, as in path_gains.
-    return float(np.cumsum(energies, axis=1)[0, -1]), {ell: f for ell, (f,) in fields.items()}
+    symbol_energy = float(np.cumsum(field_energies(fields, grid))[-1])
+    return symbol_energy, dict(zip((int(m) for m in mode_set), fields))
 
 
 @dataclass(frozen=True)
@@ -531,22 +525,21 @@ def _make_branches(
 
     The slot-grid templates of all distinct charges come from one radial
     pass, and each is shared by every branch of its charge.  A smart window
-    reads the magnitude of the default-grid field of order |l| in
-    ``fields``, which must hold every smart branch's order.
+    reads the default-grid field of its charge in ``fields``, which must
+    hold every smart branch's charge.
     """
     kappa = scenario.kappa
     z = scenario.distance
     compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
     charges = list(dict.fromkeys(int(charge) for charge, _ in branches))
-    passes = _radial_samples(charges, scenario, radii, (focused,))
-    templates = {charge: samples for charge, (samples,) in zip(charges, passes)}
+    (on_slots,) = radial_fields(scenario, charges, (focused,), radii)
+    templates = dict(zip(charges, on_slots))
+    grid = default_radial_grid(scenario)
     built = []
     for charge, config in branches:
         charge = int(charge)
         if config.smart:
-            window = smart_window(
-                mode_index(charge), scenario, focused, config.drop_db, field=fields[abs(charge)]
-            )
+            window = smart_window(grid, fields[charge], config.drop_db)
             mask = interval_mask(window, radii)
             if not mask.any():
                 raise ValueError("smart window narrower than the slot grid")
@@ -590,8 +583,7 @@ def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_
     if any(int(charge) not in members for charge, _ in branches):
         raise ValueError("branch charge must belong to the multiplexed set")
     radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    smart_orders = {abs(int(charge)) for charge, config in branches if config.smart}
-    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set, smart_orders)
+    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
     scorer = _Scorer(_make_branches(scenario, branches, focused, radii, delta, fields))
 
     def noise_at(snr_db: float) -> NoiseModel:

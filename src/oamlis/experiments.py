@@ -25,10 +25,11 @@ from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
 from .numerics import MAX_ORDER
 from .oam import (
     FOCUS_STATES,
-    emit_profile_grids,
+    default_radial_grid,
     mode_energies,
-    mode_index,
     path_gains,
+    profile_maps,
+    radial_fields,
     topological_charge,
 )
 
@@ -223,8 +224,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse flat key-value text, overriding ``base`` (or kind defaults).
+def parse_config_keys(text: str) -> dict[str, str]:
+    """Raw value text of each key of flat ``key = value`` text.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys raise.
     """
@@ -240,12 +241,19 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if key not in FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         raw[key] = value.strip()
+    return raw
+
+
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse flat key-value text, overriding ``base`` (or kind defaults).
+
+    A ``kind`` key that differs from the base's kind starts from that
+    kind's defaults instead.  See :func:`parse_config_keys` for the format.
+    """
+    raw = parse_config_keys(text)
     kind = raw.get("kind", base.kind if base is not None else "spectrum")
-    config = base if base is not None else default_config(kind)
-    if config.kind != kind:
-        config = default_config(kind)
-    overrides = {key: FIELD_PARSERS[key](value) for key, value in raw.items()}
-    return dataclasses.replace(config, **overrides)
+    config = base if base is not None and base.kind == kind else default_config(kind)
+    return apply_overrides(config, **raw)
 
 
 def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
@@ -302,24 +310,33 @@ def _write_csv(path: Path, columns: dict, config: ExperimentConfig, extra: dict 
     return path
 
 
-def _oam_energy_spectrum(scenario, max_charge):
-    """Energies of modes 1 .. 2*max_charge+1 in standard order.
+#: Strategy labels of the mode counts: the SVD, then OAM per focus state.
+_COUNT_LABELS = ("svd", *("oam_focused" if f else "oam_unfocused" for f in FOCUS_STATES))
 
-    Returns the mode indices and an array with one row per focus state,
-    unfocused first.
+
+def _mode_counts(config: ExperimentConfig, scenario: Scenario):
+    """SVD spectrum, OAM energies and well-coupled mode counts of one link.
+
+    The energies of modes 1 .. 2*max_charge+1, in standard order, have one
+    row per focus state, unfocused first.  The counts are the SVD count and
+    one OAM count per focus state, all against the strongest SVD coupling
+    xi_1^2.
+
+    Returns:
+        (svd, energies, counts), the counts in :data:`_COUNT_LABELS` order.
     """
-    n_list = list(range(1, 2 * max_charge + 2))
-    charges = [topological_charge(n) for n in n_list]
-    return n_list, mode_energies(scenario, charges)
-
-
-def _sorted_energy_spectrum(energies) -> ModeSpectrum:
-    order = np.argsort(-np.asarray(energies), kind="stable")
-    return ModeSpectrum(
-        values=np.asarray(energies)[order],
-        scale="energy",
-        labels=tuple(int(i + 1) for i in order),
-    )
+    svd = svd_mode_spectrum(scenario, config.spacing * config.wavelength)
+    charges = [topological_charge(n) for n in range(1, 2 * config.max_charge + 2)]
+    energies = mode_energies(scenario, charges)
+    oam = [
+        count_modes(
+            ModeSpectrum(values=np.sort(row)[::-1], scale="energy"),
+            config.threshold_db,
+            reference=svd.reference**2,
+        )
+        for row in energies
+    ]
+    return svd, energies, [count_modes(svd, config.threshold_db), *oam]
 
 
 def run_spectrum(config: ExperimentConfig):
@@ -331,8 +348,7 @@ def run_spectrum(config: ExperimentConfig):
     recorded in the metadata.
     """
     scenario = config.scenario()
-    spacing_m = config.spacing * config.wavelength
-    svd = svd_mode_spectrum(scenario, spacing_m)
+    svd, per_focus, counts = _mode_counts(config, scenario)
     xi1_sq = svd.reference**2
 
     xi = svd.values[: config.n_values]
@@ -340,23 +356,13 @@ def run_spectrum(config: ExperimentConfig):
     blocks = [
         (np.arange(1, len(xi) + 1), xi, 20 * np.log10(xi / svd.reference), ["svd"] * len(xi))
     ]
-
-    counts = {"svd": count_modes(svd, config.threshold_db)}
-    n_list, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
-    for focused, energies in zip(FOCUS_STATES, per_focus):
-        label = "oam_focused" if focused else "oam_unfocused"
-        counts[label] = count_modes(
-            _sorted_energy_spectrum(energies), config.threshold_db, reference=xi1_sq
-        )
+    n_list = np.arange(1, per_focus.shape[1] + 1)
+    for label, energies in zip(_COUNT_LABELS[1:], per_focus):
         db = 10 * np.log10(energies / xi1_sq)
         blocks.append((n_list, energies, db, [label] * len(n_list)))
 
-    extra = {
-        "reference_intensity": xi1_sq,
-        "count_svd": counts["svd"],
-        "count_oam_unfocused": counts["oam_unfocused"],
-        "count_oam_focused": counts["oam_focused"],
-    }
+    extra = {"reference_intensity": xi1_sq}
+    extra.update((f"count_{label}", count) for label, count in zip(_COUNT_LABELS, counts))
     path = Path(config.out) / "spectrum.csv"
     names = ("index", "value_linear", "value_db_energy_scale", "label")
     columns = {name: np.concatenate(parts) for name, parts in zip(names, zip(*blocks))}
@@ -395,24 +401,11 @@ def run_dof_vs_distance(config: ExperimentConfig):
     For every distance the analytic estimate, the SVD count and both OAM
     counts (referenced to the strongest SVD coupling) are emitted.
     """
-    spacing_m = config.spacing * config.wavelength
 
     def counts(scenario):
-        svd = svd_mode_spectrum(scenario, spacing_m)
-        _, per_focus = _oam_energy_spectrum(scenario, config.max_charge)
-        oam = [
-            count_modes(
-                _sorted_energy_spectrum(energies),
-                config.threshold_db,
-                reference=svd.reference**2,
-            )
-            for energies in per_focus
-        ]
-        return [analytic_dof(scenario), count_modes(svd, config.threshold_db), *oam]
+        return [analytic_dof(scenario), *_mode_counts(config, scenario)[2]]
 
-    oam_labels = ("oam_focused" if focused else "oam_unfocused" for focused in FOCUS_STATES)
-    labels = ("analytic", "svd", *oam_labels)
-    keys, values = _distance_sweep(config, labels, counts)
+    keys, values = _distance_sweep(config, ("analytic", *_COUNT_LABELS), counts)
     path = Path(config.out) / "dof_vs_distance.csv"
     return [_write_csv(path, {**keys, "value": values}, config)]
 
@@ -492,26 +485,26 @@ def run_profiles(config: ExperimentConfig):
 
     Per charge and focus state, three Cartesian maps (transmit phase,
     receive amplitude, receive phase) are written as flat (x, y, value)
-    tables, plus the radial receive profile.
+    tables, plus the radial receive profile.  Every receive field of the
+    run comes from one :func:`~oamlis.oam.radial_fields` call.
     """
     scenario = config.scenario()
+    grid = default_radial_grid(scenario)
+    fields = radial_fields(scenario, config.modes, FOCUS_STATES, grid)
     paths = []
-    for charge in config.modes:
-        n = mode_index(charge)
-        for focused in (False, True):
+    for charge, states in zip(config.modes, fields.swapaxes(0, 1)):
+        for focused, samples in zip(FOCUS_STATES, states):
             suffix = f"l{charge}_{'focused' if focused else 'unfocused'}"
-            grids = emit_profile_grids(n, scenario, focused, config.resolution)
-            field = grids["rx_field"]
+            maps = profile_maps(charge, scenario, focused, samples, config.resolution)
             for key, axis in (("tx_phase", "x_tx"), ("rx_amplitude", "x_rx"), ("rx_phase", "x_rx")):
                 # Row j*n + i holds (x_i, y_j, values[j, i]): x runs fastest.
-                x, y = np.meshgrid(grids[axis], grids[axis])
-                columns = {"x": x.ravel(), "y": y.ravel(), "value": grids[key].ravel()}
+                x, y = np.meshgrid(maps[axis], maps[axis])
+                columns = {"x": x.ravel(), "y": y.ravel(), "value": maps[key].ravel()}
                 path = Path(config.out) / f"profile_{suffix}_{key}.csv"
                 extra = {"charge": charge, "focused": focused, "grid": key}
                 paths.append(_write_csv(path, columns, config, extra))
-            samples = field.samples
             columns = {
-                "radius": field.radii,
+                "radius": grid,
                 "re": samples.real,
                 "im": samples.imag,
                 # np.hypot rounds as abs() of one complex scalar does; np.abs of

@@ -16,7 +16,7 @@ of the four blocks' singular values, which are those of the full matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _lexsorted(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Ordered coupling intensities with labels and a dB scale tag.
+    """Ordered coupling intensities with a dB scale tag.
 
     ``scale`` records whether entries are amplitude-like (singular values,
     dB via 20 log10) or energy-like (mode energies, dB via 10 log10), so a
@@ -198,7 +198,6 @@ class ModeSpectrum:
 
     values: np.ndarray
     scale: str
-    labels: tuple = field(default=())
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -210,11 +209,7 @@ class ModeSpectrum:
             raise ValueError("spectrum entries must be sorted descending")
         if self.scale not in ("amplitude", "energy"):
             raise ValueError(f"unknown spectrum scale {self.scale!r}")
-        labels = tuple(self.labels) if self.labels else tuple(range(1, len(v) + 1))
-        if len(labels) != len(v):
-            raise ValueError("one label per spectrum entry required")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def reference(self) -> float:
@@ -268,7 +263,7 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> ModeS
         spacing: lattice pitch in meters; defaults to lambda/2.
 
     Returns:
-        ModeSpectrum of singular values, labeled by mode index.
+        ModeSpectrum of singular values.
 
     Raises:
         MemoryError: if the (N_r/4) x N_t coupling array would exceed

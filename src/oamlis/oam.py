@@ -7,10 +7,11 @@ The transmit basis on the disk is the uniform-amplitude helical set
 optionally multiplied by the quadratic focusing phase e^{j kappa rho^2 / 2z}.
 Propagating mode n to the receive disk through the Fresnel-zone kernel and
 integrating the azimuth analytically leaves a single radial integral with a
-Bessel kernel; that integral is what :func:`rx_field_radial` evaluates.  The
-received field separates as psi_n = psi_n^rho(rho_R) * e^{j l_n phi_R}, and
-the stored radial factor follows the convention that mode energies are
-E_n = 2 pi * integral |psi_n^rho|^2 rho d rho.
+Bessel kernel; that integral is what :func:`radial_fields` evaluates, for
+many charges and focus states in one pass.  The received field separates as
+psi_n = psi_n^rho(rho_R) * e^{j l_n phi_R}, and the radial factor follows the
+convention that mode energies are E_n = 2 pi * integral |psi_n^rho|^2 rho
+d rho (:func:`field_energies`).
 """
 
 from __future__ import annotations
@@ -90,39 +91,10 @@ class TxProfile:
         """Angular factor e^{j l phi} / sqrt(pi)."""
         return np.exp(1j * self.charge * np.asarray(phi, dtype=float)) / np.sqrt(np.pi)
 
-    def evaluate(self, rho, phi) -> np.ndarray:
-        return self.radial(rho) * self.angular(phi)
-
 
 def tx_profile(n: int, scenario: Scenario, focused: bool) -> TxProfile:
     """Transmit profile of mode n for the given link."""
     return TxProfile(n=n, charge=topological_charge(n), focused=focused, scenario=scenario)
-
-
-@dataclass(frozen=True)
-class RadialField:
-    """Receive-side radial factor psi_n^rho sampled on an ascending grid."""
-
-    radii: np.ndarray
-    samples: np.ndarray
-    mode_index: int
-    focused: bool
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.radii, dtype=float)
-        s = np.asarray(self.samples, dtype=complex)
-        if r.ndim != 1 or len(r) < 2 or s.shape != r.shape:
-            raise ValueError("radii and samples must be matching 1-D arrays")
-        if r[0] < 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("radial grid must be non-negative and strictly increasing")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("field samples must be finite")
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def charge(self) -> int:
-        return topological_charge(self.mode_index)
 
 
 def default_radial_grid(scenario: Scenario, samples: int = RADIAL_SAMPLES) -> np.ndarray:
@@ -130,17 +102,12 @@ def default_radial_grid(scenario: Scenario, samples: int = RADIAL_SAMPLES) -> np
     return np.linspace(0.0, scenario.radius_rx, samples)
 
 
-def rx_field_radial(
-    n: int,
-    scenario: Scenario,
-    focused: bool,
-    grid: np.ndarray | None = None,
-) -> RadialField:
-    """Radial receive profile of mode n after Fresnel-zone propagation.
+def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) -> np.ndarray:
+    """Radial receive profiles psi^rho of several charges and focus states.
 
-    Evaluates
+    Evaluates, for each charge l as given and each focus state,
 
-        psi_n^rho(rho_R) = j^{l} / (2 z R_T sqrt(pi))
+        psi_l^rho(rho_R) = j^{l} / (2 z R_T sqrt(pi))
                            * e^{-j kappa rho_R^2 / 2z} e^{-j kappa z}
                            * int_0^{R_T} rho_T c(rho_T)
                              J_l(kappa rho_R rho_T / z) d rho_T
@@ -150,43 +117,31 @@ def rx_field_radial(
     focusing phase.  The mode-constant j^l comes from the azimuthal
     integral identity int e^{j l u} e^{j x cos u} du = 2 pi j^l J_l(x) and
     is what the exact-kernel oracle reproduces; it never affects energies
-    or magnitude profiles.
-
-    Args:
-        n: mode index (1-based).
-        scenario: link geometry.
-        focused: whether the transmit side applies the focusing phase law.
-        grid: radial evaluation points in meters, ascending, within
-            [0, R_R]; defaults to 1024 uniform samples.
-
-    Returns:
-        RadialField on the requested grid.
-    """
-    ell = topological_charge(n)
-    if grid is None:
-        grid = default_radial_grid(scenario)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
-        raise ValueError("radial grid must lie within [0, R_R]")
-    ((samples,),) = _radial_samples((ell,), scenario, grid, (focused,))
-    return RadialField(radii=grid, samples=samples, mode_index=n, focused=focused)
-
-
-def _radial_samples(ells, scenario: Scenario, grid: np.ndarray, focus_states):
-    """Radial factor psi^rho of each charge in ``ells`` on ``grid``.
-
-    Yields, for each charge in order, a list with one sample array per
-    focus state.
+    or magnitude profiles.  With the reflection J_{-l} = (-1)^l J_l it
+    makes psi_{-l} equal psi_l bitwise.
 
     The argument kappa rho_R rho_T / z of the Bessel kernel is the same
     matrix for every order, and on uniform grids the same product recurs
     many times, mostly in different rows.  So the distinct arguments are
-    found once over the whole matrix, each order evaluates J_l once per
+    found once over the whole matrix, each charge evaluates J_l once per
     distinct argument, and the kernel is gathered back and integrated in
     blocks of grid rows.  The kernel does not depend on the focus state
-    either, so each block serves every chirp.  The result is bitwise equal
-    to evaluating J_l on the full argument matrix, per order.
+    either, so each block serves every chirp.  Each row of the result is
+    bitwise equal to a one-charge, one-state call.
+
+    Args:
+        scenario: link geometry.
+        charges: signed topological charges.
+        focused: focus states to evaluate, in output order.
+        grid: radial evaluation points in meters within [0, R_R];
+            defaults to :func:`default_radial_grid`.
+
+    Returns:
+        Complex array of shape (len(focused), len(charges), len(grid)).
     """
+    grid = default_radial_grid(scenario) if grid is None else np.asarray(grid, dtype=float)
+    if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
+        raise ValueError("radial grid must lie within [0, R_R]")
     z = scenario.distance
     kappa = scenario.kappa
     r_t = scenario.radius_tx
@@ -201,13 +156,15 @@ def _radial_samples(ells, scenario: Scenario, grid: np.ndarray, focus_states):
 
     phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
     weights = []
-    for focused in focus_states:
-        if focused:
+    for state in focused:
+        if state:
             chirp = np.ones_like(rho_t, dtype=complex)
         else:
             chirp = np.exp(-1j * kappa * rho_t**2 / (2 * z))
         weights.append(rho_t * chirp)
-    for ell in ells:
+    charges = [int(ell) for ell in charges]
+    fields = np.empty((len(weights), len(charges), len(grid)), dtype=complex)
+    for col, ell in enumerate(charges):
         values = bessel_j(ell, distinct)
         integrals = np.empty((len(weights), len(grid)), dtype=complex)
         for start in range(0, len(grid), KERNEL_ROW_BLOCK):
@@ -218,7 +175,18 @@ def _radial_samples(ells, scenario: Scenario, grid: np.ndarray, focus_states):
         # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
         unit = (1.0, 1j, -1.0, -1j)[ell % 4]
         prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
-        yield [prefactor * phase * integral for integral in integrals]
+        for row, integral in enumerate(integrals):
+            fields[row, col] = prefactor * phase * integral
+    return fields
+
+
+def field_energies(fields: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Energies E = 2 pi * int |psi^rho|^2 rho d rho along the last axis.
+
+    The 2 pi angular factor is applied here, once; the radial fields do
+    not carry it.
+    """
+    return 2 * np.pi * np.trapezoid(np.abs(fields) ** 2 * grid, grid, axis=-1)
 
 
 def focused_fundamental_profile(scenario: Scenario, grid: np.ndarray) -> np.ndarray:
@@ -250,14 +218,17 @@ def rx_field_radial_exact(
     focused: bool,
     grid: np.ndarray,
     angular_samples: int = 128,
-) -> RadialField:
+) -> np.ndarray:
     """Receive profile via the exact-distance kernel (validation oracle).
 
     Integrates the transmit profile against the exact scalar Green function
     over the transmit disk (2-D quadrature: uniform azimuth rule, fixed
-    radial trapezoid).  Much slower than :func:`rx_field_radial`; intended
+    radial trapezoid).  Much slower than :func:`radial_fields`; intended
     for coarse-grid cross-checks of the Fresnel route, not for experiment
     sweeps.
+
+    Returns:
+        psi_n^rho sampled on ``grid``.
     """
     profile = tx_profile(n, scenario, focused)
     ell = profile.charge
@@ -279,37 +250,14 @@ def rx_field_radial_exact(
         kernel = np.exp(-1j * kappa * dist) / (4 * np.pi * dist)
         out += ang * np.trapezoid(kernel * radial_part[None, :], rho_t, axis=1)
     out *= 2 * np.pi / angular_samples
-    return RadialField(radii=grid, samples=out, mode_index=n, focused=focused)
-
-
-def mode_energy(
-    n: int,
-    scenario: Scenario,
-    focused: bool,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Received energy of mode n for a unit-energy transmit profile.
-
-        E_n = 2 pi * int_0^{R_R} |psi_n^rho(rho)|^2 rho d rho
-
-    The 2 pi angular factor is applied here, once; the stored radial field
-    does not carry it.
-    """
-    field = rx_field_radial(n, scenario, focused, grid)
-    return _energy(field.samples, field.radii)
-
-
-def _energy(samples: np.ndarray, radii: np.ndarray) -> float:
-    return float(2 * np.pi * np.trapezoid(np.abs(samples) ** 2 * radii, radii))
+    return out
 
 
 def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarray:
     """Received energies of several charges and focus states.
 
-    Bitwise equal to :func:`mode_energy` of each (charge, focus state) on
-    the default radial grid, but all charges share one pass: the Bessel
-    kernel is evaluated once per distinct argument and distinct |l|, serves
-    every focus state, and E_l = E_{-l} exactly.
+    E_l = E_{-l} exactly, so each distinct |l| is evaluated once, in one
+    :func:`radial_fields` pass on the default radial grid.
 
     Args:
         scenario: link geometry.
@@ -319,39 +267,9 @@ def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarr
     Returns:
         Array of shape (len(focused), len(charges)).
     """
-    energies, _ = mode_energies_and_fields(scenario, charges, focused)
-    return energies
-
-
-def mode_energies_and_fields(scenario: Scenario, charges, focused=FOCUS_STATES, field_orders=()):
-    """:func:`mode_energies`, plus default-grid fields from the same pass.
-
-    Args:
-        scenario, charges, focused: as for :func:`mode_energies`.
-        field_orders: orders l >= 0 whose default-grid fields to keep;
-            orders not among the |charges| are left out.  The field of -l
-            is that of l times a unit-modulus constant, so the magnitudes
-            are bitwise equal.
-
-    Returns:
-        (energies, fields): the :func:`mode_energies` array, and a dict
-        from each kept order to its RadialFields, one per focus state.
-    """
-    charges = np.array([int(ell) for ell in charges], dtype=int)
+    orders, inverse = np.unique([abs(int(ell)) for ell in charges], return_inverse=True)
     grid = default_radial_grid(scenario)
-    orders = np.unique(np.abs(charges)).tolist()
-    energies = np.empty((len(focused), len(charges)))
-    fields = {}
-    for ell, states in zip(orders, _radial_samples(orders, scenario, grid, focused)):
-        same = np.abs(charges) == ell
-        for row, samples in enumerate(states):
-            energies[row, same] = _energy(samples, grid)
-        if ell in field_orders:
-            fields[ell] = [
-                RadialField(radii=grid, samples=samples, mode_index=mode_index(ell), focused=state)
-                for state, samples in zip(focused, states)
-            ]
-    return energies, fields
+    return field_energies(radial_fields(scenario, orders, focused, grid), grid)[:, inverse]
 
 
 def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.ndarray:
@@ -378,52 +296,49 @@ def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.nda
     return np.cumsum(energies, axis=1)[:, -1] / n_modes
 
 
-def path_gain(scenario: Scenario, n_modes: int, focused: bool) -> float:
-    """Path gain of one focus state; see :func:`path_gains`."""
-    return float(path_gains(scenario, n_modes, (focused,))[0])
-
-
-def emit_profile_grids(
-    n: int,
+def profile_maps(
+    charge: int,
     scenario: Scenario,
     focused: bool,
+    field: np.ndarray,
     resolution: int = 101,
 ) -> dict:
-    """Cartesian amplitude/phase maps of mode n at both apertures.
+    """Cartesian amplitude/phase maps of one charge at both apertures.
 
     Args:
-        n: mode index.
+        charge: signed topological charge.
         scenario: link geometry.
         focused: transmit focusing on/off.
+        field: the charge's radial receive profile, sampled on the uniform
+            grid over [0, R_R] (as :func:`radial_fields` returns it on
+            :func:`default_radial_grid`); the receive maps interpolate it.
         resolution: samples per axis of each square map, >= 32.
 
     Returns:
-        Dict with axes ``x_tx``/``x_rx`` (meters), square maps
-        ``tx_phase``, ``rx_amplitude``, ``rx_phase``, and ``rx_field``, the
-        default-grid :class:`RadialField` the receive maps interpolate.
-        Map points outside the disks hold NaN.  Phases in radians, wrapped
-        to (-pi, pi].
+        Dict with axes ``x_tx``/``x_rx`` (meters) and square maps
+        ``tx_phase``, ``rx_amplitude`` and ``rx_phase``.  Map points outside
+        the disks hold NaN.  Phases in radians, wrapped to (-pi, pi].
     """
     if resolution < 32:
         raise ValueError("resolution must be at least 32 samples per axis")
-    profile = tx_profile(n, scenario, focused)
-    ell = profile.charge
+    profile = tx_profile(mode_index(charge), scenario, focused)
 
     x_t = np.linspace(-scenario.radius_tx, scenario.radius_tx, resolution)
     xx, yy = np.meshgrid(x_t, x_t)
     rho = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
-    tx_phase = np.angle(np.exp(1j * ell * phi) * profile.radial(rho))
+    tx_phase = np.angle(np.exp(1j * charge * phi) * profile.radial(rho))
     tx_phase[rho > scenario.radius_tx] = np.nan
 
-    field = rx_field_radial(n, scenario, focused)
+    field = np.asarray(field, dtype=complex)
+    radii = default_radial_grid(scenario, len(field))
     x_r = np.linspace(-scenario.radius_rx, scenario.radius_rx, resolution)
     xxr, yyr = np.meshgrid(x_r, x_r)
     rho_r = np.hypot(xxr, yyr)
     phi_r = np.arctan2(yyr, xxr)
-    re = np.interp(rho_r, field.radii, field.samples.real)
-    im = np.interp(rho_r, field.radii, field.samples.imag)
-    full = (re + 1j * im) * np.exp(1j * ell * phi_r)
+    re = np.interp(rho_r, radii, field.real)
+    im = np.interp(rho_r, radii, field.imag)
+    full = (re + 1j * im) * np.exp(1j * charge * phi_r)
     outside = rho_r > scenario.radius_rx
     rx_amplitude = np.abs(full)
     rx_phase = np.angle(full)
@@ -436,5 +351,4 @@ def emit_profile_grids(
         "tx_phase": tx_phase,
         "rx_amplitude": rx_amplitude,
         "rx_phase": rx_phase,
-        "rx_field": field,
     }

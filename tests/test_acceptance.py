@@ -35,12 +35,12 @@ from oamlis.modes import ModeSpectrum, count_modes, svd_mode_spectrum
 from oamlis.numerics import Quadrature, integrate_radial
 from oamlis.oam import (
     default_radial_grid,
+    field_energies,
     focused_fundamental_profile,
     mode_energies,
-    mode_energy,
     mode_index,
     path_gains,
-    rx_field_radial,
+    radial_fields,
     tx_profile,
 )
 
@@ -96,7 +96,7 @@ def test_criterion_02_mode_count_triple(svd_runs):
 def test_criterion_03_airy_oracle():
     scenario = Scenario.normalized(10, 10, 100)
     grid = default_radial_grid(scenario)
-    numeric = rx_field_radial(1, scenario, True, grid).samples
+    numeric = radial_fields(scenario, [0], (True,), grid)[0, 0]
     closed = focused_fundamental_profile(scenario, grid)
     err = np.sqrt(np.trapezoid(np.abs(numeric - closed) ** 2 * grid, grid))
     ref = np.sqrt(np.trapezoid(np.abs(closed) ** 2 * grid, grid))
@@ -107,11 +107,13 @@ def test_criterion_03_airy_oracle():
 
 def test_criterion_04_charge_degeneracy():
     scenario = Scenario.normalized(10, 10, 100)
+    grid = default_radial_grid(scenario)
     worst = 0.0
     for focused in (False, True):
         for ell in range(1, 11):
-            plus = mode_energy(mode_index(ell), scenario, focused)
-            minus = mode_energy(mode_index(-ell), scenario, focused)
+            # Each charge evaluated as given, not folded onto |l|.
+            (fields,) = radial_fields(scenario, (ell, -ell), (focused,), grid)
+            plus, minus = field_energies(fields, grid)
             worst = max(worst, abs(plus - minus) / plus)
     ok = worst < 1e-10
     report(4, ok, f"worst relative energy split {worst:.2e} < 1e-10")
@@ -142,7 +144,7 @@ def test_criterion_05_demultiplexer_orthogonality():
 def test_criterion_06_noise_calibration():
     scenario = Scenario.normalized(10, 10, 100)
     radii, delta = slot_grid(scenario.radius_rx, wavelength=scenario.wavelength)
-    psi = rx_field_radial(1, scenario, True, grid=radii).samples
+    psi = radial_fields(scenario, [0], (True,), radii)[0, 0]
     e_rad = float((np.abs(psi) ** 2 * radii * delta).sum())
     n0 = 0.2
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
@@ -166,7 +168,7 @@ def test_criterion_07_matched_filter_ber():
     e_s = link_symbol_energy(scenario, True)
     worst_z = 0.0
     for ell in (0, 2, 4):
-        psi = rx_field_radial(mode_index(ell), scenario, True, grid=radii).samples
+        psi = radial_fields(scenario, [ell], (True,), radii)[0, 0]
         e_rad = float((np.abs(psi) ** 2 * radii * delta).sum())
         (curve,), _ = ber_curves(
             scenario, [(ell, DetectorConfig("mf"))], snr_db, trials=trials, seed=ell + 1
@@ -183,19 +185,18 @@ def test_criterion_07_matched_filter_ber():
 
 def _fine_grid_link(scenario, ell):
     """Fine-grid template, windows and integrals for the coherent receivers."""
-    n = mode_index(ell)
-    field = rx_field_radial(n, scenario, True)
-    grid = field.radii
+    grid = default_radial_grid(scenario)
+    field = radial_fields(scenario, [ell], (True,), grid)[0, 0]
     chirp = np.exp(-1j * scenario.kappa * grid**2 / (2 * scenario.distance))
     compensation = chirp * np.exp(-1j * scenario.kappa * scenario.distance)
-    e_rad = float(np.trapezoid(np.abs(field.samples) ** 2 * grid, grid))
+    e_rad = float(np.trapezoid(np.abs(field) ** 2 * grid, grid))
     windows = {}
     for name, mask in (
         ("full", np.ones_like(grid, bool)),
-        ("smart", interval_mask(smart_window(n, scenario, True), grid)),
+        ("smart", interval_mask(smart_window(grid, field), grid)),
     ):
         h = 2 * np.pi * np.trapezoid(
-            np.where(mask, field.samples * np.conj(compensation) * grid, 0.0), grid
+            np.where(mask, field * np.conj(compensation) * grid, 0.0), grid
         )
         area = float(np.trapezoid(np.where(mask, grid, 0.0), grid))
         windows[name] = (abs(h), area)
@@ -249,6 +250,9 @@ def test_criterion_09_energy_detector_thresholds():
     e_s = link_symbol_energy(scenario, True)
     n0 = e_s / 10 ** (snr_db / 10)
     sigma = math.sqrt(0.25 / trials)
+    grid = default_radial_grid(scenario)
+    (fields,) = radial_fields(scenario, range(5), (True,), grid)
+    (on_slots,) = radial_fields(scenario, range(5), (True,), radii)
 
     def ed_curve(ell, smart, seed):
         branch = [(ell, DetectorConfig("ed", smart=smart))]
@@ -265,13 +269,13 @@ def test_criterion_09_energy_detector_thresholds():
         interior_ok = interior_ok and curve.ber[0] > curve.ber[k] + 5 * sigma
         interior_ok = interior_ok and curve.ber[-1] > curve.ber[k] + 5 * sigma
 
-        psi = rx_field_radial(mode_index(ell), scenario, True, grid=radii).samples
+        psi = on_slots[ell]
         windows = {}
         for name in ("full", "smart"):
             if name == "full":
                 mask = np.ones_like(radii, bool)
             else:
-                mask = interval_mask(smart_window(mode_index(ell), scenario, True), radii)
+                mask = interval_mask(smart_window(grid, fields[ell]), radii)
             e_w = float((np.abs(psi[mask]) ** 2 * radii[mask] * delta).sum())
             zeta, ber = optimize_threshold(n0, int(mask.sum()), e_w)
             windows[name] = (zeta, ber)
@@ -290,12 +294,12 @@ def test_criterion_09_energy_detector_thresholds():
 
     def ed_smart_ber(snr):
         level = e_s / 10 ** (snr / 10)
-        mask = interval_mask(smart_window(1, scenario, True), radii)
-        psi0 = rx_field_radial(1, scenario, True, grid=radii).samples
+        mask = interval_mask(smart_window(grid, fields[0]), radii)
+        psi0 = on_slots[0]
         e_w = float((np.abs(psi0[mask]) ** 2 * radii[mask] * delta).sum())
         return optimize_threshold(level, int(mask.sum()), e_w)[1]
 
-    psi0 = rx_field_radial(1, scenario, True, grid=radii).samples
+    psi0 = on_slots[0]
     e_rad0 = float((np.abs(psi0) ** 2 * radii * delta).sum())
     snr_mf = _snr_at_target(
         lambda snr: gaussian_ber(2 * np.pi * e_rad0, 2 * np.pi * (e_s / 10 ** (snr / 10)) * e_rad0)

@@ -32,7 +32,7 @@ from oamlis.detect import (
     tnr_curves,
 )
 from oamlis.experiments import detector_for
-from oamlis.oam import RadialField, default_radial_grid, mode_energy, mode_index, rx_field_radial
+from oamlis.oam import default_radial_grid, mode_energies, mode_index, radial_fields
 
 
 def test_slot_grid_default_layout():
@@ -213,23 +213,23 @@ def test_ed_statistic_noise_only_mean():
 
 def test_smart_window_contains_peak():
     s = Scenario.normalized(10, 10, 100)
-    for charge in (0, 2, 4):
-        n = mode_index(charge)
-        field = rx_field_radial(n, s, True)
-        peak_radius = field.radii[np.abs(field.samples).argmax()]
-        lo, hi = smart_window(n, s, True)
+    grid = default_radial_grid(s)
+    (fields,) = radial_fields(s, (0, 2, 4), (True,), grid)
+    for field in fields:
+        peak_radius = grid[np.abs(field).argmax()]
+        lo, hi = smart_window(grid, field)
         assert lo <= peak_radius <= hi
         assert 0 <= lo < hi <= s.radius_rx
 
 
 def test_smart_window_widens_with_drop_level():
     s = Scenario.normalized(10, 10, 100)
-    n = mode_index(2)
-    field = rx_field_radial(n, s, True)
-    weights = np.abs(field.samples) ** 2 * field.radii
+    grid = default_radial_grid(s)
+    field = radial_fields(s, [2], (True,), grid)[0, 0]
+    weights = np.abs(field) ** 2 * grid
     captured = []
     for drop_db in (3.0, 6.0, 10.0, 20.0, 40.0):
-        mask = interval_mask(smart_window(n, s, True, drop_db), field.radii)
+        mask = interval_mask(smart_window(grid, field, drop_db), grid)
         captured.append(weights[mask].sum() / weights.sum())
     assert np.all(np.diff(captured) >= 0)
     assert captured[0] < captured[-1]
@@ -237,14 +237,11 @@ def test_smart_window_widens_with_drop_level():
 
 def test_smart_window_rejects_flat_zero_field():
     s = Scenario.normalized(10, 10, 100)
-    dead = RadialField(
-        radii=np.linspace(0, s.radius_rx, 64),
-        samples=np.zeros(64, dtype=complex),
-        mode_index=1,
-        focused=False,
-    )
-    with pytest.raises(ValueError):
-        smart_window(1, s, False, field=dead)
+    grid = np.linspace(0, s.radius_rx, 64)
+    with pytest.raises(ValueError, match="flat zero"):
+        smart_window(grid, np.zeros(64, dtype=complex))
+    with pytest.raises(ValueError, match="lengths"):
+        smart_window(grid, np.ones(63, dtype=complex))
 
 
 def test_detector_config_validation():
@@ -343,10 +340,12 @@ def test_optimize_threshold_matches_grid_scan():
 def test_link_symbol_energy_composition():
     s = Scenario.normalized(10, 10, 100)
     total = link_symbol_energy(s, True)
-    by_hand = sum(mode_energy(mode_index(ell), s, True) for ell in (0, 1, 2, 3, 4))
+    by_hand = sum(mode_energies(s, (0, 1, 2, 3, 4), (True,))[0])
     assert_allclose(total, by_hand, rtol=1e-12)
     single = link_symbol_energy(s, True, mode_set=(0,))
-    assert_allclose(single, mode_energy(1, s, True), rtol=1e-12)
+    assert_allclose(single, mode_energies(s, (0,), (True,))[0, 0], rtol=1e-12)
+    # E_l = E_{-l} bitwise, so a signed mode set has the E_s of its |l|.
+    assert link_symbol_energy(s, True, mode_set=(0, -1, 2, -3, 4)) == total
 
 
 def test_ber_monte_carlo_input_validation():
@@ -373,7 +372,7 @@ def test_mf_monte_carlo_matches_closed_form():
     trials = 20_000
     curve = ber_curves(s, [(0, DetectorConfig("mf"))], [7.0], trials=trials, seed=2)[0][0]
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    psi = rx_field_radial(1, s, True, grid=radii).samples
+    psi = radial_fields(s, [0], (True,), radii)[0, 0]
     e_rad = (np.abs(psi) ** 2 * radii * delta).sum()
     n0 = link_symbol_energy(s, True) / 10 ** (7.0 / 10)
     expected = gaussian_ber(2 * np.pi * e_rad, 2 * np.pi * n0 * e_rad)
@@ -385,7 +384,7 @@ def test_ed_monte_carlo_matches_closed_form():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    psi = rx_field_radial(1, s, True, grid=radii).samples
+    psi = radial_fields(s, [0], (True,), radii)[0, 0]
     e_rad = (np.abs(psi) ** 2 * radii * delta).sum()
     n0 = link_symbol_energy(s, True) / 10 ** (12.0 / 10)
     zeta, expected = optimize_threshold(n0, len(radii), e_rad)
@@ -477,22 +476,18 @@ def _peak_bytes(call) -> int:
 def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
     # Smart windows read the default-grid fields of the E_s pass, and the
     # slot-grid templates of all charges come from one more radial pass:
-    # two passes per sweep, whatever the number of charges, and no
-    # per-charge field synthesis.
+    # exactly two radial_fields calls per sweep, whatever the number of
+    # charges.
     s = Scenario.normalized(10, 10, 100)
     radial_passes = []
-    radial = oam._radial_samples
+    radial = oam.radial_fields
 
-    def spy(ells, scenario, grid, focus_states):
+    def spy(scenario, charges, focused=oam.FOCUS_STATES, grid=None):
         radial_passes.append(len(grid))
-        return radial(ells, scenario, grid, focus_states)
+        return radial(scenario, charges, focused, grid)
 
-    def per_charge(*args, **kwargs):
-        raise AssertionError("a sweep synthesized one charge's field")
-
-    monkeypatch.setattr(oam, "_radial_samples", spy)
-    monkeypatch.setattr(detect, "_radial_samples", spy)
-    monkeypatch.setattr(detect, "rx_field_radial", per_charge)
+    monkeypatch.setattr(oam, "radial_fields", spy)
+    monkeypatch.setattr(detect, "radial_fields", spy)
     smart = DetectorConfig("ed", smart=True)
     mode_set = (0, -3, 4)
     slots = len(slot_grid(s.radius_rx, wavelength=s.wavelength)[0])
@@ -530,7 +525,7 @@ def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
     pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET, {0, 4})
+    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
     built = detect._make_branches(s, pairs, True, radii, delta, fields)
     n0 = e_s / 10 ** (6.0 / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)

@@ -371,6 +371,15 @@ def test_cli_forces_verb_kind(tmp_path):
     assert code == 0
     meta, _, _ = read_csv(out / "spectrum.csv")
     assert meta["kind"] == "spectrum"
+    # The file's kind does not bring its defaults: a key the file leaves
+    # out keeps the verb's default, not the profiles one (D = 20, modes 0,1,3).
+    config_file.write_text("kind = profiles\nT = 4\nR = 4\nmax_charge = 2\nn_values = 5\n")
+    code = cli.main(["spectrum", "--config", str(config_file), "--out", str(out)])
+    assert code == 0
+    meta, _, _ = read_csv(out / "spectrum.csv")
+    assert meta["kind"] == "spectrum"
+    assert meta["D"] == "50"
+    assert meta["modes"] == "0,1,2,3,4"
 
 
 def test_cli_rejects_unknown_strategy(tmp_path, capsys):
@@ -564,18 +573,16 @@ def test_cli_import_leaves_scipy_stats_out():
 _COMMON_OPTIONS = [
     (["-h", "--help"], "help"),
     (["--config"], "config"),
-    (["--seed"], "seed"),
     (["--out"], "out"),
     (["--lambda"], "wavelength"),
-    (["--T"], "T"),
-    (["--R"], "R"),
-    (["--D"], "D"),
-    (["--threshold-db"], "threshold_db"),
-    (["--trials"], "trials"),
 ]
+_GEOMETRY_OPTIONS = [(["--T"], "T"), (["--R"], "R"), (["--D"], "D")]
 _FOCUS_OPTIONS = [(["--focused"], "focused"), (["--unfocused"], "focused")]
+_MONTE_CARLO_OPTIONS = [(["--trials"], "trials"), (["--seed"], "seed")]
 _VERB_OPTIONS = {
     "spectrum": [
+        *_GEOMETRY_OPTIONS,
+        (["--threshold-db"], "threshold_db"),
         (["--spacing"], "spacing"),
         (["--max-charge"], "max_charge"),
         (["--n-values"], "n_values"),
@@ -583,6 +590,7 @@ _VERB_OPTIONS = {
     "dof": [
         (["--preset"], "preset"),
         (["--distances"], "distances"),
+        (["--threshold-db"], "threshold_db"),
         (["--spacing"], "spacing"),
         (["--max-charge"], "max_charge"),
     ],
@@ -592,29 +600,34 @@ _VERB_OPTIONS = {
         (["--n-modes"], "n_modes"),
     ],
     "ber": [
+        *_GEOMETRY_OPTIONS,
         (["--modes"], "modes"),
         (["--snr-db"], "snr_db"),
         (["--strategies"], "strategies"),
         (["--drop-db"], "drop_db"),
         (["--slot"], "slot"),
         *_FOCUS_OPTIONS,
+        *_MONTE_CARLO_OPTIONS,
     ],
     "tnr": [
+        *_GEOMETRY_OPTIONS,
         (["--modes"], "modes"),
         (["--snr"], "tnr_snr_db"),
         (["--tnr-db"], "tnr_db"),
         (["--drop-db"], "drop_db"),
         (["--slot"], "slot"),
         *_FOCUS_OPTIONS,
+        *_MONTE_CARLO_OPTIONS,
     ],
     "profiles": [
+        *_GEOMETRY_OPTIONS,
         (["--modes"], "modes"),
         (["--resolution"], "resolution"),
     ],
 }
 
 
-def test_cli_options_per_verb():
+def test_cli_options_per_verb(capsys):
     parser = cli.build_parser()
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(verbs.choices) == list(_VERB_OPTIONS)
@@ -623,6 +636,11 @@ def test_cli_options_per_verb():
         options = [(action.option_strings, action.dest) for action in sub._actions]
         assert options == _COMMON_OPTIONS + _VERB_OPTIONS[verb], verb
         assert {dest for _, dest in options} - {"help", "config"} <= fields
+    # A flag that the verb's runner does not read is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pathgain", "--T", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --T 3" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_tuple_value_with_usage_error(capsys):

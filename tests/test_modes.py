@@ -139,8 +139,6 @@ def test_mode_spectrum_validation():
         ModeSpectrum(values=np.array([1.0, -0.1]), scale="energy")
     with pytest.raises(ValueError):
         ModeSpectrum(values=np.array([1.0]), scale="power")
-    with pytest.raises(ValueError):
-        ModeSpectrum(values=np.array([1.0, 0.5]), scale="energy", labels=(1,))
 
 
 def test_mode_spectrum_db_scales():

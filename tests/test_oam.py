@@ -13,16 +13,14 @@ from oamlis.detect import slot_grid
 from oamlis.numerics import MAX_ORDER, Quadrature, bessel_j, integrate_radial, panels_for_step
 from oamlis.oam import (
     QUADRATURE_STEP_FRACTION,
-    RadialField,
     default_radial_grid,
-    emit_profile_grids,
+    field_energies,
     focused_fundamental_profile,
     mode_energies,
-    mode_energies_and_fields,
-    mode_energy,
     mode_index,
-    path_gain,
-    rx_field_radial,
+    path_gains,
+    profile_maps,
+    radial_fields,
     rx_field_radial_exact,
     topological_charge,
     tx_profile,
@@ -91,42 +89,41 @@ def test_tx_profile_vanishes_outside_aperture():
     assert profile.radial(0.0) != 0
 
 
-def test_radial_field_validation():
-    r = np.linspace(0, 1, 8)
-    RadialField(radii=r, samples=np.ones(8, complex), mode_index=1, focused=False)
-    with pytest.raises(ValueError):
-        RadialField(radii=r[::-1], samples=np.ones(8, complex), mode_index=1, focused=False)
-    with pytest.raises(ValueError):
-        RadialField(radii=r, samples=np.ones(7, complex), mode_index=1, focused=False)
-    with pytest.raises(ValueError):
-        RadialField(radii=r, samples=np.full(8, np.nan + 0j), mode_index=1, focused=False)
+def _field(ell, s, focused, grid=None):
+    """psi^rho of one charge and focus state, from a one-charge call."""
+    return radial_fields(s, [ell], (focused,), grid)[0, 0]
+
+
+def _energy(ell, s, focused):
+    """Received energy of one charge and focus state on the default grid."""
+    return float(field_energies(_field(ell, s, focused), default_radial_grid(s)))
 
 
 def test_rx_field_grid_must_stay_inside_receiver():
     s = Scenario.normalized(5, 5, 20)
     with pytest.raises(ValueError):
-        rx_field_radial(1, s, True, np.linspace(0, 2 * s.radius_rx, 16))
+        radial_fields(s, [0], grid=np.linspace(0, 2 * s.radius_rx, 16))
+    with pytest.raises(ValueError):
+        radial_fields(s, [0], grid=np.linspace(-s.radius_rx, s.radius_rx, 16))
 
 
 def test_rx_field_vanishes_on_axis_for_helical_modes():
     s = Scenario.normalized(10, 10, 50)
-    for n in (2, 3, 6):
-        field = rx_field_radial(n, s, False)
-        assert abs(field.samples[0]) == 0.0
-    fundamental = rx_field_radial(1, s, True)
-    assert abs(fundamental.samples[0]) > 0
+    for ell in (1, -1, 3):
+        assert abs(_field(ell, s, False)[0]) == 0.0
+    assert abs(_field(0, s, True)[0]) > 0
 
 
 def test_frozen_mode_energies():
     s = Scenario.normalized(10, 10, 100, wavelength=1.0)
     for ell, expected in FROZEN_ENERGIES.items():
-        assert_allclose(mode_energy(mode_index(ell), s, True), expected, rtol=1e-6)
+        assert_allclose(_energy(ell, s, True), expected, rtol=1e-6)
 
 
 def test_mode_energies_bitwise_equal_to_mode_energy():
     s = Scenario.normalized(6, 3, 40)
     charges = list(range(-6, 7))
-    expected = [[mode_energy(mode_index(ell), s, f) for ell in charges] for f in (False, True)]
+    expected = [[_energy(ell, s, f) for ell in charges] for f in (False, True)]
     assert_array_equal(mode_energies(s, charges), expected)
     assert_array_equal(mode_energies(s, charges, (True,)), expected[1:])
 
@@ -157,35 +154,28 @@ def _full_kernel_samples(ell, s, grid):
 )
 def test_radial_samples_bitwise_equal_to_full_kernel(T, R, D, charges):
     # The shared-argument kernel must reproduce every bit of the direct
-    # formula, on the default grid and on the receiver's slot grid.
+    # formula, on the default grid and on the receiver's slot grid, and a
+    # multi-charge, two-state call every bit of the one-charge, one-state
+    # calls.
     s = Scenario.normalized(T, R, D)
     grid = default_radial_grid(s)
     slots, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    fields = radial_fields(s, charges)
+    fields_on_slots = radial_fields(s, charges, grid=slots)
+    assert fields.shape == (2, len(charges), len(grid))
+    assert fields_on_slots.shape == (2, len(charges), len(slots))
     expected = np.empty((2, len(charges)))
     for col, ell in enumerate(charges):
-        n = mode_index(ell)
         full = _full_kernel_samples(ell, s, grid)
         on_slots = _full_kernel_samples(ell, s, slots)
         for row, focused in enumerate((False, True)):
-            assert_array_equal(rx_field_radial(n, s, focused).samples, full[row])
-            assert_array_equal(rx_field_radial(n, s, focused, slots).samples, on_slots[row])
+            assert_array_equal(fields[row, col], full[row])
+            assert_array_equal(fields_on_slots[row, col], on_slots[row])
+            assert_array_equal(_field(ell, s, focused), full[row])
+            assert_array_equal(_field(ell, s, focused, slots), on_slots[row])
             expected[row, col] = 2 * np.pi * np.trapezoid(np.abs(full[row]) ** 2 * grid, grid)
+    assert_array_equal(field_energies(fields, grid), expected)
     assert_array_equal(mode_energies(s, charges), expected)
-
-
-def test_mode_energies_and_fields_match_rx_field_radial():
-    s = Scenario.normalized(6, 3, 40)
-    charges = [0, -2, 3, 5]
-    energies, fields = mode_energies_and_fields(s, charges, field_orders=(2, 3, 7))
-    assert_array_equal(energies, mode_energies(s, charges))
-    assert sorted(fields) == [2, 3]  # 7 is not among the |charges|
-    for ell, states in fields.items():
-        for field, focused in zip(states, (False, True)):
-            assert field.focused == focused
-            assert_array_equal(field.samples, rx_field_radial(mode_index(ell), s, focused).samples)
-            # A smart window reads |psi|, which is bitwise the same for -l.
-            minus = rx_field_radial(mode_index(-ell), s, focused).samples
-            assert_array_equal(np.abs(field.samples), np.abs(minus))
 
 
 def _peak_bytes(call) -> int:
@@ -211,8 +201,8 @@ def test_mode_energies_peak_memory_within_full_kernel():
 
 def test_mode_energy_scales_with_wavelength_squared():
     # normalized geometry fixes the physics; lengths only rescale energies
-    a = mode_energy(4, Scenario.normalized(10, 10, 100, wavelength=1.0), True)
-    b = mode_energy(4, Scenario.normalized(10, 10, 100, wavelength=0.1), True)
+    a = _energy(2, Scenario.normalized(10, 10, 100, wavelength=1.0), True)
+    b = _energy(2, Scenario.normalized(10, 10, 100, wavelength=0.1), True)
     assert_allclose(b, a * 0.1**2, rtol=1e-10)
 
 
@@ -220,15 +210,21 @@ def test_opposite_charges_are_bitwise_degenerate():
     s = Scenario.normalized(10, 10, 50)
     for ell in range(1, 11):
         for focused in (False, True):
-            plus = rx_field_radial(mode_index(ell), s, focused)
-            minus = rx_field_radial(mode_index(-ell), s, focused)
-            assert np.array_equal(plus.samples, minus.samples)
+            plus = _field(ell, s, focused)
+            minus = _field(-ell, s, focused)
+            assert np.array_equal(plus, minus)
+    charges = [ell for ell in range(1, 11) for ell in (ell, -ell)]
+    energies = mode_energies(s, charges)
+    assert_array_equal(energies[:, 0::2], energies[:, 1::2])
+    grid = default_radial_grid(s)
+    signed = field_energies(radial_fields(s, charges, grid=grid), grid)
+    assert_array_equal(signed, energies)
 
 
 def test_focused_fundamental_matches_closed_form():
     s = Scenario.normalized(10, 10, 100)
     grid = default_radial_grid(s)
-    quad = rx_field_radial(1, s, True, grid).samples
+    quad = _field(0, s, True, grid)
     airy = focused_fundamental_profile(s, grid)
     err = np.sqrt(np.trapezoid(np.abs(quad - airy) ** 2 * grid, grid))
     ref = np.sqrt(np.trapezoid(np.abs(airy) ** 2 * grid, grid))
@@ -250,8 +246,8 @@ def test_fresnel_route_against_exact_kernel():
     grid = np.linspace(0, s.radius_rx, 48)
     for n in (1, 2, 6):
         for focused in (False, True):
-            fresnel = rx_field_radial(n, s, focused, grid).samples
-            exact = rx_field_radial_exact(n, s, focused, grid, angular_samples=96).samples
+            fresnel = _field(topological_charge(n), s, focused, grid)
+            exact = rx_field_radial_exact(n, s, focused, grid, angular_samples=96)
             err = np.sqrt(np.trapezoid(np.abs(fresnel - exact) ** 2 * grid, grid))
             ref = np.sqrt(np.trapezoid(np.abs(exact) ** 2 * grid, grid))
             assert err / ref < 0.03
@@ -260,35 +256,35 @@ def test_fresnel_route_against_exact_kernel():
 def test_unfocused_peak_radius_grows_with_charge():
     s = Scenario.normalized(10, 10, 50)
     peaks = []
+    grid = default_radial_grid(s)
     for ell in range(0, 7):
-        field = rx_field_radial(mode_index(ell), s, False)
-        peaks.append(field.radii[np.abs(field.samples).argmax()])
+        peaks.append(grid[np.abs(_field(ell, s, False)).argmax()])
     assert np.all(np.diff(peaks) > 0)
 
 
 def test_focusing_never_loses_energy_on_equal_apertures():
     s = Scenario.normalized(10, 10, 50)
     for ell in range(0, 9):
-        focused = mode_energy(mode_index(ell), s, True)
-        unfocused = mode_energy(mode_index(ell), s, False)
+        focused = _energy(ell, s, True)
+        unfocused = _energy(ell, s, False)
         assert focused > unfocused
 
 
 def test_path_gain_composition_and_validation():
     s = Scenario.normalized(10, 10, 100)
-    e = {ell: mode_energy(mode_index(ell), s, True) for ell in range(3)}
-    assert_allclose(path_gain(s, 1, True), e[0], rtol=1e-12)
+    e = {ell: _energy(ell, s, True) for ell in range(3)}
+    assert_allclose(path_gains(s, 1, (True,)), [e[0]], rtol=1e-12)
     expected = (e[0] + 2 * e[1] + 2 * e[2]) / 5
-    assert_allclose(path_gain(s, 5, True), expected, rtol=1e-12)
+    assert_allclose(path_gains(s, 5, (True,)), [expected], rtol=1e-12)
     with pytest.raises(ValueError):
-        path_gain(s, 4, True)
+        path_gains(s, 4, (True,))
     with pytest.raises(ValueError):
-        path_gain(s, 0, True)
+        path_gains(s, 0, (True,))
 
 
 def test_profile_grids_shapes_and_masking():
     s = Scenario.normalized(5, 5, 20)
-    grids = emit_profile_grids(2, s, True, resolution=48)
+    grids = profile_maps(1, s, True, _field(1, s, True), resolution=48)
     assert grids["tx_phase"].shape == (48, 48)
     assert grids["rx_amplitude"].shape == (48, 48)
     assert len(grids["x_tx"]) == 48
@@ -299,12 +295,12 @@ def test_profile_grids_shapes_and_masking():
     # center row is inside
     assert np.isfinite(grids["rx_amplitude"][24, 24])
     with pytest.raises(ValueError):
-        emit_profile_grids(2, s, True, resolution=16)
+        profile_maps(1, s, True, _field(1, s, True), resolution=16)
 
 
 def test_profile_tx_phase_is_helical():
     s = Scenario.normalized(5, 5, 20)
-    grids = emit_profile_grids(2, s, False, resolution=65)  # charge +1, no chirp
+    grids = profile_maps(1, s, False, _field(1, s, False), resolution=65)  # no chirp
     axis = grids["x_tx"]
     mid = len(axis) // 2
     quarter = mid // 2
