@@ -15,22 +15,26 @@ axis.  It provides:
 * CSV experiment runners and a command line front end
   (:mod:`oamlis.experiments`, :mod:`oamlis.cli`).
 
+The modules pass plain numpy arrays and signed topological charges between
+each other: a spectrum is an array of singular values or energies, a mode is
+its charge l, and :func:`~oamlis.oam.standard_charges` fixes the order
+0, +1, -1, +2, ... wherever a mode count is turned into charges.
+
 All simulator quantities are expressed in SI units internally; configuration
 uses radii and distances normalized by the wavelength because every quantity
 of interest (mode counts, energy ratios, BER) depends only on those ratios.
 """
 
 from .geometry import Scenario, analytic_dof, fraunhofer_distance
-from .modes import SurfaceGrid, ModeSpectrum, disk_grid, coupling_matrix, count_modes
+from .modes import disk_grid, coupling_matrix, count_modes, svd_mode_spectrum
 from .numerics import Quadrature, bessel_j, integrate_radial, svd_spectrum
 from .oam import (
-    TxProfile,
     field_energies,
     mode_energies,
     path_gains,
     radial_fields,
-    topological_charge,
-    tx_profile,
+    standard_charges,
+    tx_radial,
 )
 from .detect import (
     BerCurve,
@@ -49,22 +53,20 @@ __all__ = [
     "Scenario",
     "analytic_dof",
     "fraunhofer_distance",
-    "SurfaceGrid",
-    "ModeSpectrum",
     "disk_grid",
     "coupling_matrix",
     "count_modes",
+    "svd_mode_spectrum",
     "Quadrature",
     "bessel_j",
     "integrate_radial",
     "svd_spectrum",
-    "TxProfile",
     "field_energies",
     "mode_energies",
     "path_gains",
     "radial_fields",
-    "topological_charge",
-    "tx_profile",
+    "standard_charges",
+    "tx_radial",
     "BerCurve",
     "DetectorConfig",
     "NoiseModel",

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr, erfc
 
 from .geometry import Scenario
-from .oam import default_radial_grid, field_energies, radial_fields, topological_charge
+from .oam import default_radial_grid, field_energies, radial_fields
 
 #: Default radial slot width for noise synthesis, as a wavelength fraction.
 SLOT_WAVELENGTH_FRACTION = 0.25
@@ -183,29 +183,28 @@ class BerCurve:
         return cls(axis_db=np.asarray(axis_db, float), ber=ber, trials=trials, ci95=ci95)
 
 
-def demultiplex(field, n: int, radii: np.ndarray, angular_samples: int = 256) -> np.ndarray:
-    """Angular correlation of a 2-D field against mode n's helical phase.
+def demultiplex(field, charge: int, radii: np.ndarray, angular_samples: int = 256) -> np.ndarray:
+    """Angular correlation of a 2-D field against a charge's helical phase.
 
-        y_n(rho_i) = int_0^{2pi} field(rho_i, phi) e^{-j l_n phi} d phi
+        y_l(rho_i) = int_0^{2pi} field(rho_i, phi) e^{-j l phi} d phi
 
     evaluated with the uniform angular rule, which is exact for any field
-    whose azimuthal content stays below the sample count.  A pure mode n
-    of radial profile psi yields 2 pi psi; other charges cancel.
+    whose azimuthal content stays below the sample count.  A pure mode of
+    charge l and radial profile psi yields 2 pi psi; other charges cancel.
 
     Args:
         field: callable (rho, phi) -> complex samples, broadcastable.
-        n: mode index of the extraction branch.
+        charge: signed topological charge l of the extraction branch.
         radii: radial evaluation points.
         angular_samples: azimuth sample count (>= 256 keeps leakage at
             the numerical floor for |l| <= 10).
     """
     if angular_samples < 4:
         raise ValueError("need at least 4 angular samples")
-    ell = topological_charge(n)
     radii = np.asarray(radii, dtype=float)
     phi = np.arange(angular_samples) * (2 * np.pi / angular_samples)
     values = field(radii[:, None], phi[None, :])
-    weights = np.exp(-1j * ell * phi) * (2 * np.pi / angular_samples)
+    weights = np.exp(-1j * charge * phi) * (2 * np.pi / angular_samples)
     return values @ weights
 
 

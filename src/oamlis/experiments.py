@@ -21,7 +21,7 @@ import numpy as np
 
 from .detect import MIN_TRIALS, DetectorConfig, ber_curves, tnr_curves
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
-from .modes import ModeSpectrum, count_modes, svd_mode_spectrum
+from .modes import count_modes, svd_mode_spectrum
 from .numerics import MAX_ORDER
 from .oam import (
     FOCUS_STATES,
@@ -30,7 +30,7 @@ from .oam import (
     path_gains,
     profile_maps,
     radial_fields,
-    topological_charge,
+    standard_charges,
 )
 
 #: Geometry presets (normalized T, R) for the distance sweeps.
@@ -133,9 +133,12 @@ class ExperimentConfig:
             raise ValueError(f"n_modes must be at most {2 * MAX_ORDER + 1}")
         if self.resolution < 32:
             raise ValueError("resolution must be at least 32 samples per axis")
-        for name in ("snr_db", "tnr_db"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, tuple) and not value:
+                raise ValueError(f"{field.name} must not be empty")
+        if self.kind in ("ber", "tnr") and self.slot > self.R:
+            raise ValueError("slot must be at most the receive radius R")
         unknown = [name for name in self.strategies if name not in _STRATEGY_CONFIGS]
         if unknown:
             raise ValueError(
@@ -314,29 +317,24 @@ def _write_csv(path: Path, columns: dict, config: ExperimentConfig, extra: dict 
 _COUNT_LABELS = ("svd", *("oam_focused" if f else "oam_unfocused" for f in FOCUS_STATES))
 
 
-def _mode_counts(config: ExperimentConfig, scenario: Scenario):
-    """SVD spectrum, OAM energies and well-coupled mode counts of one link.
+def mode_spectra(config: ExperimentConfig, scenario: Scenario):
+    """SVD spectrum and OAM energies of one link, and their dB values.
 
-    The energies of modes 1 .. 2*max_charge+1, in standard order, have one
-    row per focus state, unfocused first.  The counts are the SVD count and
-    one OAM count per focus state, all against the strongest SVD coupling
-    xi_1^2.
+    The energies of charges ``standard_charges(2 * max_charge + 1)`` have
+    one row per focus state, unfocused first.  Every dB value is on the
+    energy scale against the strongest SVD coupling xi_1^2:
+    20 log10(xi / xi_1) for the singular values, 10 log10(E / xi_1^2) for
+    the energies.  :func:`~oamlis.modes.count_modes` counts each dB array
+    at the configured threshold.
 
     Returns:
-        (svd, energies, counts), the counts in :data:`_COUNT_LABELS` order.
+        (svd, energies, db): the descending singular values, the energies,
+        and one dB array per entry of :data:`_COUNT_LABELS`.
     """
     svd = svd_mode_spectrum(scenario, config.spacing * config.wavelength)
-    charges = [topological_charge(n) for n in range(1, 2 * config.max_charge + 2)]
-    energies = mode_energies(scenario, charges)
-    oam = [
-        count_modes(
-            ModeSpectrum(values=np.sort(row)[::-1], scale="energy"),
-            config.threshold_db,
-            reference=svd.reference**2,
-        )
-        for row in energies
-    ]
-    return svd, energies, [count_modes(svd, config.threshold_db), *oam]
+    energies = mode_energies(scenario, standard_charges(2 * config.max_charge + 1))
+    xi_1 = float(svd[0])
+    return svd, energies, [20 * np.log10(svd / xi_1), *(10 * np.log10(energies / xi_1**2))]
 
 
 def run_spectrum(config: ExperimentConfig):
@@ -347,22 +345,19 @@ def run_spectrum(config: ExperimentConfig):
     singular-value intensity); mode counts at the configured threshold are
     recorded in the metadata.
     """
-    scenario = config.scenario()
-    svd, per_focus, counts = _mode_counts(config, scenario)
-    xi1_sq = svd.reference**2
-
-    xi = svd.values[: config.n_values]
+    svd, energies, db = mode_spectra(config, config.scenario())
+    n = min(config.n_values, len(svd))
     # One (index, value_linear, value_db_energy_scale, label) block per strategy.
-    blocks = [
-        (np.arange(1, len(xi) + 1), xi, 20 * np.log10(xi / svd.reference), ["svd"] * len(xi))
-    ]
-    n_list = np.arange(1, per_focus.shape[1] + 1)
-    for label, energies in zip(_COUNT_LABELS[1:], per_focus):
-        db = 10 * np.log10(energies / xi1_sq)
-        blocks.append((n_list, energies, db, [label] * len(n_list)))
+    blocks = [(np.arange(1, n + 1), svd[:n], db[0][:n], ["svd"] * n)]
+    n_list = np.arange(1, energies.shape[1] + 1)
+    for label, values, values_db in zip(_COUNT_LABELS[1:], energies, db[1:]):
+        blocks.append((n_list, values, values_db, [label] * len(n_list)))
 
-    extra = {"reference_intensity": xi1_sq}
-    extra.update((f"count_{label}", count) for label, count in zip(_COUNT_LABELS, counts))
+    extra = {"reference_intensity": float(svd[0]) ** 2}
+    extra.update(
+        (f"count_{label}", count_modes(values_db, config.threshold_db))
+        for label, values_db in zip(_COUNT_LABELS, db)
+    )
     path = Path(config.out) / "spectrum.csv"
     names = ("index", "value_linear", "value_db_energy_scale", "label")
     columns = {name: np.concatenate(parts) for name, parts in zip(names, zip(*blocks))}
@@ -403,7 +398,8 @@ def run_dof_vs_distance(config: ExperimentConfig):
     """
 
     def counts(scenario):
-        return [analytic_dof(scenario), *_mode_counts(config, scenario)[2]]
+        db = mode_spectra(config, scenario)[2]
+        return [analytic_dof(scenario), *(count_modes(d, config.threshold_db) for d in db)]
 
     keys, values = _distance_sweep(config, ("analytic", *_COUNT_LABELS), counts)
     path = Path(config.out) / "dof_vs_distance.csv"

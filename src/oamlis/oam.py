@@ -16,12 +16,10 @@ d rho (:func:`field_energies`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import Scenario, point_distance
-from .numerics import MAX_ORDER, bessel_j, panels_for_step
+from .numerics import bessel_j, panels_for_step
 
 #: Default number of radial output samples on [0, R_R].
 RADIAL_SAMPLES = 1024
@@ -36,65 +34,26 @@ FOCUS_STATES = (False, True)
 KERNEL_ROW_BLOCK = 128
 
 
-def topological_charge(n: int) -> int:
-    """Charge of the n-th mode in the standard ordering 0, +1, -1, +2, -2, ...
+def standard_charges(count: int) -> list[int]:
+    """The first ``count`` charges of the standard order 0, +1, -1, +2, -2, ..."""
+    return [(n + 1) // 2 if n % 2 else -(n // 2) for n in range(count)]
 
-    Args:
-        n: 1-based mode index.
 
-    Returns:
-        Signed charge l_n: l_1 = 0, even n -> +n/2, odd n > 1 -> -(n-1)/2,
-        with |l_n| <= MAX_ORDER.
+def tx_radial(scenario: Scenario, focused: bool, rho) -> np.ndarray:
+    """Radial factor Pi_{R_T}(rho)/R_T of the transmit profile.
+
+    With the angular factor e^{j l phi}/sqrt(pi) it makes a unit-energy
+    profile on the disk.  The focused variant multiplies it by the
+    quadratic phase law e^{j kappa rho^2 / 2z}; the constant e^{j kappa z}
+    of the full focusing law is dropped since it does not change the
+    focusing behavior.
     """
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    ell = n // 2 if n % 2 == 0 else -(n - 1) // 2
-    if abs(ell) > MAX_ORDER:
-        raise ValueError(f"|ell| <= {MAX_ORDER} required, got {ell}")
-    return ell
-
-
-def mode_index(ell: int) -> int:
-    """Inverse of :func:`topological_charge`."""
-    if ell == 0:
-        return 1
-    return 2 * ell if ell > 0 else -2 * ell + 1
-
-
-@dataclass(frozen=True)
-class TxProfile:
-    """Transmit-side profile of one OAM mode on the disk aperture.
-
-    Unit-energy by construction: the radial factor Pi/R_T and the angular
-    factor e^{j l phi}/sqrt(pi) integrate to one over the disk.  The focused
-    variant multiplies the radial factor by the quadratic phase law
-    e^{j kappa rho^2 / 2z}; the constant e^{j kappa z} of the full focusing
-    law is dropped since it does not change the focusing behavior.
-    """
-
-    n: int
-    charge: int
-    focused: bool
-    scenario: Scenario
-
-    def radial(self, rho) -> np.ndarray:
-        """Radial factor Pi_{R_T}(rho)/R_T (times the focusing chirp)."""
-        rho = np.asarray(rho, dtype=float)
-        inside = (rho <= self.scenario.radius_tx).astype(complex)
-        value = inside / self.scenario.radius_tx
-        if self.focused:
-            kappa = self.scenario.kappa
-            value = value * np.exp(1j * kappa * rho**2 / (2 * self.scenario.distance))
-        return value
-
-    def angular(self, phi) -> np.ndarray:
-        """Angular factor e^{j l phi} / sqrt(pi)."""
-        return np.exp(1j * self.charge * np.asarray(phi, dtype=float)) / np.sqrt(np.pi)
-
-
-def tx_profile(n: int, scenario: Scenario, focused: bool) -> TxProfile:
-    """Transmit profile of mode n for the given link."""
-    return TxProfile(n=n, charge=topological_charge(n), focused=focused, scenario=scenario)
+    rho = np.asarray(rho, dtype=float)
+    inside = (rho <= scenario.radius_tx).astype(complex)
+    value = inside / scenario.radius_tx
+    if focused:
+        value = value * np.exp(1j * scenario.kappa * rho**2 / (2 * scenario.distance))
+    return value
 
 
 def default_radial_grid(scenario: Scenario, samples: int = RADIAL_SAMPLES) -> np.ndarray:
@@ -213,7 +172,7 @@ def focused_fundamental_profile(scenario: Scenario, grid: np.ndarray) -> np.ndar
 
 
 def rx_field_radial_exact(
-    n: int,
+    charge: int,
     scenario: Scenario,
     focused: bool,
     grid: np.ndarray,
@@ -228,10 +187,8 @@ def rx_field_radial_exact(
     sweeps.
 
     Returns:
-        psi_n^rho sampled on ``grid``.
+        psi^rho of ``charge`` sampled on ``grid``.
     """
-    profile = tx_profile(n, scenario, focused)
-    ell = profile.charge
     grid = np.asarray(grid, dtype=float)
     z = scenario.distance
     kappa = scenario.kappa
@@ -241,11 +198,12 @@ def rx_field_radial_exact(
     rho_t = np.linspace(0.0, r_t, panels + 1)
     phi_t = np.arange(angular_samples) * (2 * np.pi / angular_samples)
 
-    radial_part = profile.radial(rho_t) * rho_t
+    radial_part = tx_radial(scenario, focused, rho_t) * rho_t
+    angular = np.exp(1j * charge * phi_t) / np.sqrt(np.pi)
     out = np.zeros(len(grid), dtype=complex)
     # Evaluate the full transmit-disk integral at phi_R = 0; separability of
     # the exact kernel in (phi_R - phi_T) makes this the radial factor.
-    for phi, ang in zip(phi_t, profile.angular(phi_t)):
+    for phi, ang in zip(phi_t, angular):
         dist = point_distance(rho_t[None, :], phi, grid[:, None], 0.0, z)
         kernel = np.exp(-1j * kappa * dist) / (4 * np.pi * dist)
         out += ang * np.trapezoid(kernel * radial_part[None, :], rho_t, axis=1)
@@ -289,9 +247,8 @@ def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.nda
     """
     if n_modes < 1 or n_modes % 2 == 0:
         raise ValueError("n_modes must be odd and >= 1")
-    charges = [topological_charge(n) for n in range(1, n_modes + 1)]
-    energies = mode_energies(scenario, charges, focused)
-    # Running sum in mode order: the rounding of a plain loop, not numpy's
+    energies = mode_energies(scenario, standard_charges(n_modes), focused)
+    # Running sum in standard charge order: the rounding of a plain loop, not numpy's
     # pairwise blocks.
     return np.cumsum(energies, axis=1)[:, -1] / n_modes
 
@@ -321,13 +278,11 @@ def profile_maps(
     """
     if resolution < 32:
         raise ValueError("resolution must be at least 32 samples per axis")
-    profile = tx_profile(mode_index(charge), scenario, focused)
-
     x_t = np.linspace(-scenario.radius_tx, scenario.radius_tx, resolution)
     xx, yy = np.meshgrid(x_t, x_t)
     rho = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
-    tx_phase = np.angle(np.exp(1j * charge * phi) * profile.radial(rho))
+    tx_phase = np.angle(np.exp(1j * charge * phi) * tx_radial(scenario, focused, rho))
     tx_phase[rho > scenario.radius_tx] = np.nan
 
     field = np.asarray(field, dtype=complex)

@@ -31,17 +31,16 @@ from oamlis.detect import (
     tnr_curves,
 )
 from oamlis.geometry import analytic_dof
-from oamlis.modes import ModeSpectrum, count_modes, svd_mode_spectrum
+from oamlis.experiments import default_config, mode_spectra
+from oamlis.modes import count_modes
 from oamlis.numerics import Quadrature, integrate_radial
 from oamlis.oam import (
     default_radial_grid,
     field_energies,
     focused_fundamental_profile,
-    mode_energies,
-    mode_index,
     path_gains,
     radial_fields,
-    tx_profile,
+    tx_radial,
 )
 
 SVD_DISTANCES = (50.0, 100.0, 150.0, 200.0)
@@ -54,29 +53,28 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def svd_runs():
-    """Half-wavelength SVD spectra of the equal-aperture link, with timing."""
+    """Mode counts of the equal-aperture link, as ``spectrum`` and ``dof`` count them.
+
+    Each run is the default spectrum config at one distance (T = R = 10,
+    lambda/2 lattice, charges up to 15, -5 dB), with the time that
+    :func:`mode_spectra` took for the SVD and the OAM energies.
+    """
     runs = {}
     for distance in SVD_DISTANCES:
-        scenario = Scenario.normalized(10, 10, distance)
+        config = default_config("spectrum", D=distance)
+        scenario = config.scenario()
         start = time.perf_counter()
-        spectrum = svd_mode_spectrum(scenario)
-        runs[distance] = (scenario, spectrum, time.perf_counter() - start)
+        _, _, db = mode_spectra(config, scenario)
+        counts = [count_modes(values_db, config.threshold_db) for values_db in db]
+        runs[distance] = (scenario, counts, time.perf_counter() - start)
     return runs
-
-
-def oam_counts(scenario, threshold_db, reference, max_charge=15):
-    """Well-coupled OAM mode counts, (unfocused, focused), against a common reference."""
-    energies = mode_energies(scenario, range(-max_charge, max_charge + 1), (False, True))
-    spectra = [ModeSpectrum(values=np.sort(row)[::-1], scale="energy") for row in energies]
-    return tuple(count_modes(s, threshold_db, reference=reference) for s in spectra)
 
 
 def test_criterion_01_analytic_dof_tracking(svd_runs):
     details = []
     ok = True
-    for distance, (scenario, spectrum, elapsed) in svd_runs.items():
+    for distance, (scenario, (counted, *_), elapsed) in svd_runs.items():
         predicted = math.floor(analytic_dof(scenario))
-        counted = count_modes(spectrum, -5.0)
         ok = ok and abs(counted - predicted) <= 2 and elapsed < SVD_BUDGET_SECONDS
         details.append(f"D={distance:g}: {counted} vs {predicted}+/-2 in {elapsed:.1f}s")
     report(1, ok, "; ".join(details))
@@ -84,10 +82,7 @@ def test_criterion_01_analytic_dof_tracking(svd_runs):
 
 
 def test_criterion_02_mode_count_triple(svd_runs):
-    scenario, spectrum, _ = svd_runs[50.0]
-    reference = spectrum.reference**2
-    svd_count = count_modes(spectrum, -5.0)
-    unfocused, focused = oam_counts(scenario, -5.0, reference)
+    _, (svd_count, unfocused, focused), _ = svd_runs[50.0]
     ok = 37 <= svd_count <= 43 and 9 <= unfocused <= 11 and 16 <= focused <= 20
     report(2, ok, f"svd {svd_count} (40+/-3), unfocused {unfocused} (10+/-1), focused {focused} (18+/-2)")
     assert ok
@@ -130,7 +125,7 @@ def test_criterion_05_demultiplexer_orthogonality():
             return np.ones(np.broadcast(rho, phi).shape) * np.exp(1j * ell * phi)
 
         for rx_ell in range(-10, 11):
-            branch = demultiplex(field, mode_index(rx_ell), radii, angular_samples=256)
+            branch = demultiplex(field, rx_ell, radii, angular_samples=256)
             if rx_ell == tx_ell:
                 worst_match = max(worst_match, np.max(np.abs(branch / (2 * np.pi) - 1)))
             else:
@@ -338,20 +333,20 @@ def test_criterion_10_path_gain_presets():
 def test_criterion_11_transmit_normalization():
     scenario = Scenario.normalized(10, 10, 100)
     quad = Quadrature("fixed", max_subdivisions=8192)
-    worst = 0.0
-    total = 0.0
-    for n in range(1, 52):
-        for focused in (False, True):
-            profile = tx_profile(n, scenario, focused)
-            energy = 2 * integrate_radial(
-                lambda rho: np.abs(profile.radial(rho)) ** 2 * rho,
-                0.0,
-                scenario.radius_tx,
-                quad,
-            ).real
-            worst = max(worst, abs(energy - 1))
-            if focused:
-                total += energy
+    # The radial factor does not depend on the charge, so each of the 51
+    # modes carries the same energy in each focus state.
+    energy = {
+        focused: 2
+        * integrate_radial(
+            lambda rho: np.abs(tx_radial(scenario, focused, rho)) ** 2 * rho,
+            0.0,
+            scenario.radius_tx,
+            quad,
+        ).real
+        for focused in (False, True)
+    }
+    worst = max(abs(value - 1) for value in energy.values())
+    total = 51 * energy[True]
     ok = worst < 1e-6 and abs(total - 51) < 51 * 1e-6
     report(11, ok, f"worst unit-energy error {worst:.2e} < 1e-6, 51-mode total {total:.8f}")
     assert ok

@@ -32,7 +32,7 @@ from oamlis.detect import (
     tnr_curves,
 )
 from oamlis.experiments import detector_for
-from oamlis.oam import default_radial_grid, mode_energies, mode_index, radial_fields
+from oamlis.oam import default_radial_grid, mode_energies, radial_fields
 
 
 def test_slot_grid_default_layout():
@@ -108,10 +108,10 @@ def test_demultiplex_recovers_pure_modes():
     def field(rho, phi):
         return rho**2 * np.exp(1j * 3 * phi)
 
-    matched = demultiplex(field, mode_index(3), radii)
+    matched = demultiplex(field, 3, radii)
     assert_allclose(matched, 2 * np.pi * radii**2, rtol=1e-9)
     for other in (0, 1, -3, 5):
-        leakage = demultiplex(field, mode_index(other), radii)
+        leakage = demultiplex(field, other, radii)
         assert np.max(np.abs(leakage)) < 1e-10
 
 
@@ -128,7 +128,7 @@ def test_demultiplex_superposition():
         return total
 
     for ell, gain in gains.items():
-        branch = demultiplex(field, mode_index(ell), radii)
+        branch = demultiplex(field, ell, radii)
         assert_allclose(branch, 2 * np.pi * gain * profiles[ell], atol=1e-9)
 
 

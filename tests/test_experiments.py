@@ -463,6 +463,30 @@ def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, mess
     assert not out.exists()
 
 
+#: Argument lists with an empty list or a slot wider than R, with the reason.
+BAD_SHAPE_ARGV = {
+    ("ber", "--modes="): "modes must not be empty",
+    ("tnr", "--modes="): "modes must not be empty",
+    ("ber", "--strategies="): "strategies must not be empty",
+    ("profiles", "--modes="): "modes must not be empty",
+    ("dof", "--distances="): "distances must not be empty",
+    ("ber", "--T", "2", "--R", "2", "--D", "20", "--slot", "5"): "slot must be at most",
+    ("tnr", "--R", "2", "--slot", "2.5"): "slot must be at most",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_SHAPE_ARGV), ids=" ".join)
+def test_cli_rejects_empty_lists_and_wide_slots_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(f"oamlis: error: {argv[0]}: {BAD_SHAPE_ARGV[argv]}")
+    assert not any(out.iterdir())
+
+
 def test_run_ber_shares_one_draw_across_curves(tmp_path):
     # Two chunks per point: every curve of one run reads the same draws as
     # a run of that (charge, strategy) alone at the same seed.

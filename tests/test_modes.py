@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oamlis import Scenario, modes
+from oamlis.experiments import default_config, mode_spectra
 from oamlis.modes import (
-    ModeSpectrum,
-    SurfaceGrid,
     count_modes,
     coupling_matrix,
     disk_grid,
@@ -21,14 +20,33 @@ from oamlis.numerics import svd_spectrum
 
 def test_disk_grid_weights_sum_to_disk_area():
     for radius, spacing in ((1.0, 0.05), (0.5, 0.05), (2.5, 0.1)):
-        g = disk_grid(radius, spacing)
-        assert_allclose(g.weights.sum(), np.pi * radius**2, rtol=1e-12)
-        assert np.all(np.hypot(g.points[:, 0], g.points[:, 1]) <= radius)
+        points, weight = disk_grid(radius, spacing)
+        assert_allclose(weight * len(points), np.pi * radius**2, rtol=1e-12)
+        assert np.all(np.hypot(points[:, 0], points[:, 1]) <= radius)
+
+
+def test_disk_grid_is_the_clipped_square_lattice():
+    # Pitches lambda/2 and lambda/3 at lambda = 0.1, a radius that is no
+    # multiple of the pitch, and a pitch coarser than the radius.
+    pairs = ((1.0, 0.05), (0.5, 0.05), (2.5, 0.1), (0.5, 0.1 / 3), (0.33, 0.05), (0.35, 0.41))
+    for radius, spacing in pairs:
+        points, weight = disk_grid(radius, spacing)
+        # Independent build: every half-integer site of a square wide enough
+        # to hold the disk, kept when its center lies inside.
+        k = np.arange(-int(radius / spacing) - 2, int(radius / spacing) + 2) + 0.5
+        square = [(i * spacing, j * spacing) for i in k for j in k]
+        clipped = {(x, y) for x, y in square if x**2 + y**2 <= radius**2}
+        assert len(points) == len(clipped)
+        assert set(map(tuple, points)) == clipped
+        assert np.all(np.hypot(points[:, 0], points[:, 1]) <= radius)
+        assert_allclose(weight * len(points), np.pi * radius**2, rtol=1e-12)
+        turned = np.column_stack([-points[:, 1], points[:, 0]])
+        assert set(map(tuple, turned)) == set(map(tuple, points))
 
 
 def test_disk_grid_refinement_roughly_quadruples_points():
-    coarse = disk_grid(1.0, 0.1)
-    fine = disk_grid(1.0, 0.05)
+    coarse, _ = disk_grid(1.0, 0.1)
+    fine, _ = disk_grid(1.0, 0.05)
     assert 3.5 < len(fine) / len(coarse) < 4.5
 
 
@@ -37,26 +55,16 @@ def test_disk_grid_validation():
         disk_grid(1.0, 0.0)
     with pytest.raises(ValueError):
         disk_grid(0.0, 0.1)
+    with pytest.raises(ValueError, match="too coarse"):
+        disk_grid(1.0, 1.5)
 
 
 @given(radius=st.floats(0.05, 2.0), cells=st.floats(0.8, 30.0))
 def test_disk_grid_is_closed_under_quarter_turn(radius, cells):
-    g = disk_grid(radius, radius / cells)
-    turned = np.column_stack([-g.points[:, 1], g.points[:, 0]])
-    assert len(g) % 4 == 0
-    assert set(map(tuple, turned)) == set(map(tuple, g.points))
-
-
-def test_surface_grid_rejects_bad_inputs():
-    pts = np.array([[0.0, 0.0], [0.5, 0.0]])
-    good = np.full(2, np.pi * 1.0**2 / 2)
-    SurfaceGrid(points=pts, weights=good, radius=1.0)
-    with pytest.raises(ValueError):
-        SurfaceGrid(points=np.array([[2.0, 0.0]]), weights=np.array([np.pi]), radius=1.0)
-    with pytest.raises(ValueError):
-        SurfaceGrid(points=pts, weights=good * 1.1, radius=1.0)
-    with pytest.raises(ValueError):
-        SurfaceGrid(points=pts, weights=good[:1], radius=1.0)
+    points, _ = disk_grid(radius, radius / cells)
+    turned = np.column_stack([-points[:, 1], points[:, 0]])
+    assert len(points) % 4 == 0
+    assert set(map(tuple, turned)) == set(map(tuple, points))
 
 
 def test_green_pointwise_value_and_singularity():
@@ -70,11 +78,7 @@ def test_green_pointwise_value_and_singularity():
 
 
 def _single_point_grid(x, y, radius):
-    return SurfaceGrid(
-        points=np.array([[x, y]]),
-        weights=np.array([np.pi * radius**2]),
-        radius=radius,
-    )
+    return np.array([[x, y]]), np.pi * radius**2
 
 
 def test_coupling_matrix_single_point_matches_green():
@@ -82,9 +86,7 @@ def test_coupling_matrix_single_point_matches_green():
     gt = _single_point_grid(0.0, 0.0, 0.05)
     gr = _single_point_grid(0.03, -0.01, 0.05)
     m = coupling_matrix(gt, gr, kappa, 5.0)
-    expected = green((0.0, 0.0, 0.0), (0.03, -0.01, 5.0), kappa) * np.sqrt(
-        gt.weights[0] * gr.weights[0]
-    )
+    expected = green((0.0, 0.0, 0.0), (0.03, -0.01, 5.0), kappa) * np.sqrt(gt[1] * gr[1])
     assert m.shape == (1, 1)
     assert_allclose(m[0, 0], expected, rtol=1e-12)
 
@@ -107,7 +109,7 @@ def test_coupling_matrix_swap_consistency():
     gr = disk_grid(s.radius_rx, s.wavelength / 2)
     forward = coupling_matrix(gt, gr, s.kappa, s.distance)
     backward = coupling_matrix(gr, gt, s.kappa, s.distance)
-    assert forward.shape == (len(gr), len(gt))
+    assert forward.shape == (len(gr[0]), len(gt[0]))
     assert np.max(np.abs(forward - backward.T)) < 1e-10
 
 
@@ -131,49 +133,49 @@ def test_coupling_total_power_matches_paraxial_integral():
     assert_allclose(frob, analytic, rtol=0.02)
 
 
-def test_mode_spectrum_validation():
-    ModeSpectrum(values=np.array([2.0, 1.0]), scale="amplitude")
-    with pytest.raises(ValueError):
-        ModeSpectrum(values=np.array([1.0, 2.0]), scale="amplitude")
-    with pytest.raises(ValueError):
-        ModeSpectrum(values=np.array([1.0, -0.1]), scale="energy")
-    with pytest.raises(ValueError):
-        ModeSpectrum(values=np.array([1.0]), scale="power")
-
-
-def test_mode_spectrum_db_scales():
-    amp = ModeSpectrum(values=np.array([1.0, 0.1]), scale="amplitude")
-    eng = ModeSpectrum(values=np.array([1.0, 0.1]), scale="energy")
-    assert_allclose(amp.db()[1], -20.0)
-    assert_allclose(eng.db()[1], -10.0)
-    assert_allclose(eng.db(reference=0.5)[0], 10 * np.log10(2.0))
-
-
 def test_count_modes_energy_example():
-    spectrum = ModeSpectrum(values=np.array([1.0, 0.5, 0.1]), scale="energy")
-    assert count_modes(spectrum, -5.0) == 2
+    energies = np.array([1.0, 0.5, 0.1])
+    assert count_modes(10 * np.log10(energies), -5.0) == 2
     # amplitude scale: 0.5 sits at -6 dB on the energy scale, below -5
-    amp = ModeSpectrum(values=np.array([1.0, 0.5, 0.1]), scale="amplitude")
-    assert count_modes(amp, -5.0) == 1
+    assert count_modes(20 * np.log10(energies), -5.0) == 1
+    assert count_modes([0.0, -5.0, -5.0000001], -5.0) == 2
 
 
 def test_count_modes_reference_override_and_validation():
-    spectrum = ModeSpectrum(values=np.array([1.0, 0.5, 0.1]), scale="energy")
-    assert count_modes(spectrum, -5.0, reference=0.2) == 3
-    assert count_modes(spectrum, -5.0, reference=4.0) == 0
+    # Counting against a foreign peak is dividing by it before the dB.
+    energies = np.array([1.0, 0.5, 0.1])
+    assert count_modes(10 * np.log10(energies / 0.2), -5.0) == 3
+    assert count_modes(10 * np.log10(energies / 4.0), -5.0) == 0
     with pytest.raises(ValueError):
-        count_modes(spectrum, 1.0)
+        count_modes(10 * np.log10(energies), 1.0)
+
+
+def test_mode_spectrum_db_scales():
+    # spectrum and dof count these arrays: singular values on the amplitude
+    # scale, energies on the energy scale, both against xi_1^2.
+    config = default_config("spectrum", T=3, R=3, D=30, max_charge=4)
+    svd, energies, db = mode_spectra(config, config.scenario())
+    assert energies.shape == (2, 9)
+    assert len(db) == 3
+    assert db[0][0] == 0.0
+    assert_allclose(10 ** (db[0] / 20), svd / svd[0], rtol=1e-12)
+    for values, values_db in zip(energies, db[1:]):
+        assert_allclose(10 ** (values_db / 10), values / svd[0] ** 2, rtol=1e-12)
 
 
 def test_svd_mode_spectrum_shape_and_count_stability():
     s = Scenario.normalized(5, 5, 50)
     half = svd_mode_spectrum(s)
     third = svd_mode_spectrum(s, s.wavelength / 3)
-    assert half.scale == "amplitude"
-    assert half.reference > 0
-    assert np.all(np.diff(half.values) <= 0)
+    assert isinstance(half, np.ndarray) and half.ndim == 1
+    assert half[0] > 0
+    assert np.all(np.diff(half) <= 0)
     # refining the lattice may shift the -5 dB count by at most one
-    assert abs(count_modes(half, -5.0) - count_modes(third, -5.0)) <= 1
+    assert abs(_svd_count(half) - _svd_count(third)) <= 1
+
+
+def _svd_count(values, threshold_db=-5.0):
+    return count_modes(20 * np.log10(values / values[0]), threshold_db)
 
 
 @given(
@@ -187,27 +189,18 @@ def test_blocked_spectrum_matches_full_lattice_svd(T, R, D, pitch):
     spacing = pitch * s.wavelength
     grid_t = disk_grid(s.radius_tx, spacing)
     grid_r = disk_grid(s.radius_rx, spacing)
-    full = ModeSpectrum(
-        values=svd_spectrum(coupling_matrix(grid_t, grid_r, s.kappa, s.distance)),
-        scale="amplitude",
-    )
+    full = svd_spectrum(coupling_matrix(grid_t, grid_r, s.kappa, s.distance))
     blocked = svd_mode_spectrum(s, spacing)
-    assert blocked.values.shape == full.values.shape
-    assert np.max(np.abs(blocked.values - full.values)) <= 1e-12 * full.reference
-    assert count_modes(blocked, -5.0) == count_modes(full, -5.0)
+    assert blocked.shape == full.shape
+    assert np.max(np.abs(blocked - full)) <= 1e-12 * full[0]
+    assert _svd_count(blocked) == _svd_count(full)
 
 
-def test_svd_mode_spectrum_rejects_grid_without_quarter_turn_symmetry(monkeypatch):
-    def shifted_grid(radius, spacing):
-        g = disk_grid(radius, spacing)
-        shifted = 0.9 * g.points + 0.01 * spacing
-        return SurfaceGrid(points=shifted, weights=g.weights, radius=radius)
+def test_svd_mode_spectrum_rejects_oversized_lattice(monkeypatch):
+    # The budget check runs before any lattice is built.
+    def no_lattice(*args):
+        raise AssertionError("lattice built before the budget check")
 
-    monkeypatch.setattr(modes, "disk_grid", shifted_grid)
-    with pytest.raises(ValueError, match="quarter-turn"):
-        svd_mode_spectrum(Scenario.normalized(3, 3, 30))
-
-
-def test_svd_mode_spectrum_rejects_oversized_lattice():
+    monkeypatch.setattr(modes, "disk_grid", no_lattice)
     with pytest.raises(MemoryError, match="pitch"):
         svd_mode_spectrum(Scenario.normalized(4000, 4000, 30000))

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oamlis import Scenario
 from oamlis.detect import slot_grid
+from oamlis.experiments import default_config
 from oamlis.numerics import MAX_ORDER, Quadrature, bessel_j, integrate_radial, panels_for_step
 from oamlis.oam import (
     QUADRATURE_STEP_FRACTION,
@@ -17,13 +18,12 @@ from oamlis.oam import (
     field_energies,
     focused_fundamental_profile,
     mode_energies,
-    mode_index,
     path_gains,
     profile_maps,
     radial_fields,
     rx_field_radial_exact,
-    topological_charge,
-    tx_profile,
+    standard_charges,
+    tx_radial,
 )
 
 # Mode energies for the five lowest charges, T=R=10, D=100, focused, at
@@ -38,55 +38,60 @@ FROZEN_ENERGIES = {
 }
 
 
+@given(n=st.integers(0, 2 * MAX_ORDER + 1), m=st.integers(0, 2 * MAX_ORDER + 1))
+def test_standard_charges_order(n, m):
+    charges = standard_charges(n)
+    assert len(charges) == n
+    assert all(type(ell) is int for ell in charges)
+    assert charges[:3] == [0, 1, -1][:n]
+    # Prefix-stable: a longer list extends a shorter one.
+    assert standard_charges(max(n, m))[: min(n, m)] == standard_charges(min(n, m))
+    if n % 2:
+        half = (n - 1) // 2
+        assert sorted(charges) == list(range(-half, half + 1))
+
+
 def test_topological_charge_ordering():
-    assert topological_charge(1) == 0
-    assert topological_charge(2) == 1
-    assert topological_charge(3) == -1
-    assert topological_charge(4) == 2
-    assert topological_charge(7) == -3
-    with pytest.raises(ValueError):
-        topological_charge(0)
+    assert standard_charges(7) == [0, 1, -1, 2, -2, 3, -3]
+    assert standard_charges(1) == [0]
+    assert standard_charges(0) == []
 
 
 def test_mode_index_inverts_charge_map():
-    for n in range(1, 40):
-        assert mode_index(topological_charge(n)) == n
+    # Charge l sits at position 2|l| - [l > 0] of the standard order.
+    charges = standard_charges(39)
+    assert len(set(charges)) == len(charges)
+    for position, ell in enumerate(charges):
+        assert 2 * abs(ell) - (ell > 0) == position
 
 
 def test_topological_charge_cap():
-    assert topological_charge(129) == -64
-    with pytest.raises(ValueError):
-        topological_charge(130)
+    # The Bessel order cap |l| <= 64 admits the first 129 charges.
+    assert standard_charges(129)[-1] == -64
+    assert default_config("path_gain", n_modes=129).n_modes == 129
+    with pytest.raises(ValueError, match="at most 129"):
+        default_config("path_gain", n_modes=131)
 
 
 def test_tx_profiles_have_unit_energy():
     # E = int |phi|^2 dA = 2 pi * int |radial|^2 * (1/pi) rho drho
     s = Scenario.normalized(10, 10, 50)
     quad = Quadrature("fixed", max_subdivisions=4096)
-    for n in (1, 2, 5, 9):
-        for focused in (False, True):
-            profile = tx_profile(n, s, focused)
-            energy = 2 * integrate_radial(
-                lambda rho: np.abs(profile.radial(rho)) ** 2 * rho,
-                0.0,
-                s.radius_tx,
-                quad,
-            )
-            assert_allclose(energy.real, 1.0, atol=1e-6)
-
-
-def test_tx_profile_angular_factor():
-    s = Scenario.normalized(5, 5, 20)
-    profile = tx_profile(4, s, False)  # charge +2
-    assert_allclose(profile.angular(np.pi), 1 / np.sqrt(np.pi))
-    assert_allclose(profile.angular(np.pi / 4), 1j / np.sqrt(np.pi))
+    for focused in (False, True):
+        energy = 2 * integrate_radial(
+            lambda rho: np.abs(tx_radial(s, focused, rho)) ** 2 * rho,
+            0.0,
+            s.radius_tx,
+            quad,
+        )
+        assert_allclose(energy.real, 1.0, atol=1e-6)
 
 
 def test_tx_profile_vanishes_outside_aperture():
     s = Scenario.normalized(5, 5, 20)
-    profile = tx_profile(1, s, True)
-    assert profile.radial(s.radius_tx * 1.5) == 0
-    assert profile.radial(0.0) != 0
+    assert tx_radial(s, True, s.radius_tx * 1.5) == 0
+    assert tx_radial(s, True, 0.0) != 0
+    assert tx_radial(s, False, s.radius_tx) == 1 / s.radius_tx
 
 
 def _field(ell, s, focused, grid=None):
@@ -244,10 +249,10 @@ def test_fresnel_route_against_exact_kernel():
     """
     s = Scenario.normalized(5, 5, 50)
     grid = np.linspace(0, s.radius_rx, 48)
-    for n in (1, 2, 6):
+    for ell in (0, 1, -3):
         for focused in (False, True):
-            fresnel = _field(topological_charge(n), s, focused, grid)
-            exact = rx_field_radial_exact(n, s, focused, grid, angular_samples=96)
+            fresnel = _field(ell, s, focused, grid)
+            exact = rx_field_radial_exact(ell, s, focused, grid, angular_samples=96)
             err = np.sqrt(np.trapezoid(np.abs(fresnel - exact) ** 2 * grid, grid))
             ref = np.sqrt(np.trapezoid(np.abs(exact) ** 2 * grid, grid))
             assert err / ref < 0.03
@@ -307,3 +312,13 @@ def test_profile_tx_phase_is_helical():
     # at azimuth pi/2 (positive y axis) the phase of e^{j phi} is pi/2
     assert_allclose(grids["tx_phase"][mid + quarter, mid], np.pi / 2, atol=1e-9)
     assert_allclose(grids["tx_phase"][mid, mid + quarter], 0.0, atol=1e-9)
+
+
+def test_tx_profile_angular_factor():
+    # Charge +2: e^{j 2 phi} is 1 at azimuth pi and j at azimuth pi/4.
+    s = Scenario.normalized(5, 5, 20)
+    grids = profile_maps(2, s, False, _field(2, s, False), resolution=65)
+    mid = len(grids["x_tx"]) // 2
+    quarter = mid // 2
+    assert_allclose(grids["tx_phase"][mid, mid - quarter], 0.0, atol=1e-9)
+    assert_allclose(grids["tx_phase"][mid + quarter, mid + quarter], np.pi / 2, atol=1e-9)
