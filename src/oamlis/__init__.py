@@ -25,9 +25,9 @@ uses radii and distances normalized by the wavelength because every quantity
 of interest (mode counts, energy ratios, BER) depends only on those ratios.
 """
 
-from .geometry import Scenario, analytic_dof, fraunhofer_distance
+from .geometry import Scenario, analytic_dof
 from .modes import disk_grid, coupling_matrix, count_modes, svd_mode_spectrum
-from .numerics import Quadrature, bessel_j, integrate_radial, svd_spectrum
+from .numerics import bessel_j, svd_spectrum
 from .oam import (
     field_energies,
     mode_energies,
@@ -36,15 +36,7 @@ from .oam import (
     standard_charges,
     tx_radial,
 )
-from .detect import (
-    BerCurve,
-    DetectorConfig,
-    NoiseModel,
-    ber_curves,
-    demultiplex,
-    smart_window,
-    tnr_curves,
-)
+from .detect import BerCurve, DetectorConfig, NoiseModel, ber_curves, smart_window, tnr_curves
 from .experiments import ExperimentConfig, default_config, parse_config, serialize_config, run
 
 __version__ = "0.1.0"
@@ -52,14 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Scenario",
     "analytic_dof",
-    "fraunhofer_distance",
     "disk_grid",
     "coupling_matrix",
     "count_modes",
     "svd_mode_spectrum",
-    "Quadrature",
     "bessel_j",
-    "integrate_radial",
     "svd_spectrum",
     "field_energies",
     "mode_energies",
@@ -71,7 +60,6 @@ __all__ = [
     "DetectorConfig",
     "NoiseModel",
     "ber_curves",
-    "demultiplex",
     "smart_window",
     "tnr_curves",
     "ExperimentConfig",

@@ -1,4 +1,4 @@
-"""Receiver chain: demultiplexing, decision statistics, noise, BER sweeps.
+"""Receiver chain: decision statistics, noise, BER sweeps.
 
 The receive processing acts on the radial signal left after angular
 demultiplexing, y_n(rho) = 2 pi x_n psi_n^rho(rho) + n_n(rho).  Noise is
@@ -183,31 +183,6 @@ class BerCurve:
         return cls(axis_db=np.asarray(axis_db, float), ber=ber, trials=trials, ci95=ci95)
 
 
-def demultiplex(field, charge: int, radii: np.ndarray, angular_samples: int = 256) -> np.ndarray:
-    """Angular correlation of a 2-D field against a charge's helical phase.
-
-        y_l(rho_i) = int_0^{2pi} field(rho_i, phi) e^{-j l phi} d phi
-
-    evaluated with the uniform angular rule, which is exact for any field
-    whose azimuthal content stays below the sample count.  A pure mode of
-    charge l and radial profile psi yields 2 pi psi; other charges cancel.
-
-    Args:
-        field: callable (rho, phi) -> complex samples, broadcastable.
-        charge: signed topological charge l of the extraction branch.
-        radii: radial evaluation points.
-        angular_samples: azimuth sample count (>= 256 keeps leakage at
-            the numerical floor for |l| <= 10).
-    """
-    if angular_samples < 4:
-        raise ValueError("need at least 4 angular samples")
-    radii = np.asarray(radii, dtype=float)
-    phi = np.arange(angular_samples) * (2 * np.pi / angular_samples)
-    values = field(radii[:, None], phi[None, :])
-    weights = np.exp(-1j * charge * phi) * (2 * np.pi / angular_samples)
-    return values @ weights
-
-
 def mf_statistic(y: np.ndarray, template: np.ndarray, radii: np.ndarray, delta: float) -> complex:
     """Matched-filter correlation sum_i y_i template_i^* rho_i delta."""
     y = np.asarray(y)
@@ -247,13 +222,6 @@ def id_statistic(
     if compensation is not None:
         kernel = kernel * np.conj(np.asarray(compensation)[window])
     return (y * kernel).sum(axis=-1)
-
-
-def ed_statistic(y: np.ndarray, window: np.ndarray, radii: np.ndarray, delta: float) -> float:
-    """Windowed energy sum_{i in w} |y_i|^2 rho_i delta (non-negative)."""
-    window, radii = _check_window(window, radii)
-    y = np.asarray(y)[..., window]
-    return (np.abs(y) ** 2 * radii[window] * delta).sum(axis=-1)
 
 
 def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = 10.0):

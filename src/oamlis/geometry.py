@@ -70,44 +70,6 @@ class Scenario:
         return self.distance / self.wavelength
 
 
-def point_distance(rho_t, phi_t, rho_r, phi_r, z):
-    """Exact distance between a transmit and a receive surface point.
-
-    Points are given in polar coordinates on their respective disks, the
-    disks being parallel and z apart:
-
-        r = sqrt(rho_t^2 + rho_r^2 - 2 rho_t rho_r cos(phi_r - phi_t) + z^2)
-
-    Accepts scalars or broadcastable arrays.
-    """
-    rho_t = np.asarray(rho_t)
-    rho_r = np.asarray(rho_r)
-    if np.any(rho_t < 0) or np.any(rho_r < 0):
-        raise ValueError("radial coordinates must be non-negative")
-    if not np.all(np.asarray(z) > 0):
-        raise ValueError("separation z must be positive")
-    sq = rho_t**2 + rho_r**2 - 2 * rho_t * rho_r * np.cos(np.asarray(phi_r) - np.asarray(phi_t)) + np.asarray(z) ** 2
-    return np.sqrt(sq)
-
-
-def fresnel_distance_approx(rho_t, phi_t, rho_r, phi_r, z):
-    """Quadratic (Fresnel-zone) approximation of :func:`point_distance`.
-
-        r ~= z + rho_t^2/(2z) + rho_r^2/(2z) - rho_t rho_r cos(phi_r-phi_t)/z
-
-    Error relative to the exact distance is O(rho^4 / z^3).
-    """
-    rho_t = np.asarray(rho_t)
-    rho_r = np.asarray(rho_r)
-    z = np.asarray(z)
-    return (
-        z
-        + rho_t**2 / (2 * z)
-        + rho_r**2 / (2 * z)
-        - rho_t * rho_r * np.cos(np.asarray(phi_r) - np.asarray(phi_t)) / z
-    )
-
-
 def analytic_dof(scenario: Scenario) -> float:
     """Closed-form degrees-of-freedom estimate pi^2 T^2 R^2 / D^2.
 
@@ -116,10 +78,3 @@ def analytic_dof(scenario: Scenario) -> float:
     """
     return np.pi**2 * scenario.T**2 * scenario.R**2 / scenario.D**2
 
-
-def fraunhofer_distance(scenario: Scenario) -> float:
-    """Conventional near/far-field boundary 8 R_T^2 / lambda, in meters.
-
-    Normalized form: D_ff = fraunhofer_distance(s)/s.wavelength = 8 T^2.
-    """
-    return 8 * scenario.radius_tx**2 / scenario.wavelength

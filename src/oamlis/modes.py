@@ -49,33 +49,28 @@ def disk_grid(radius: float, spacing: float):
     """
     if radius <= 0 or spacing <= 0:
         raise ValueError("radius and spacing must be positive")
+    if not holds_a_site(radius, spacing):
+        raise ValueError("spacing too coarse: no lattice site falls inside the disk")
     coords = (np.arange(int(radius / spacing) + 1) + 0.5) * spacing
     xx, yy = np.meshgrid(coords, coords)
     inside = xx**2 + yy**2 <= radius**2
     x, y = xx[inside], yy[inside]
-    if len(x) == 0:
-        raise ValueError("spacing too coarse: no lattice site falls inside the disk")
     turns = [np.column_stack(turn) for turn in ((x, y), (-y, x), (-x, -y), (y, -x))]
     return np.concatenate(turns), np.pi * radius**2 / (4 * len(x))
 
 
-def green(point_t, point_r, kappa: float) -> complex:
-    """Scalar free-space Green function between two 3-D points.
+def holds_a_site(radius: float, spacing: float) -> bool:
+    """Whether :func:`disk_grid`'s clip keeps its site nearest the center,
+    (spacing/2, spacing/2), by the clip's own float64 operations (an
+    array's ``**2`` is a product): a pitch of at most sqrt(2) * radius."""
+    first = np.float64(0.5) * spacing
+    return bool(first * first + first * first <= radius**2)
 
-        G(r1, r2) = exp(-j kappa |r1 - r2|) / (4 pi |r1 - r2|)
 
-    Args:
-        point_t, point_r: 3-component coordinate sequences in meters.
-        kappa: wavenumber in rad/m.
-
-    Returns:
-        Complex field coupling value.
-    """
-    delta = np.asarray(point_r, dtype=float) - np.asarray(point_t, dtype=float)
-    r = float(np.sqrt(np.dot(delta, delta)))
-    if r == 0.0:
-        raise ValueError("Green function is singular at zero separation")
-    return complex(np.exp(-1j * kappa * r) / (4 * np.pi * r))
+def kernel_applies(separation: float, kappa: float) -> bool:
+    """Whether two planes ``separation`` meters apart pass the lambda/100
+    guard of the scalar Green kernel."""
+    return separation >= _MIN_SEPARATION_WAVELENGTHS * (2 * np.pi / kappa)
 
 
 def coupling_matrix(grid_t, grid_r, kappa: float, separation: float) -> np.ndarray:
@@ -103,8 +98,7 @@ def _green_matrix(points_r, points_t, kappa: float, separation: float) -> np.nda
     """Unweighted Green function between two transverse point sets."""
     if separation <= 0:
         raise ValueError("separation must be positive")
-    wavelength = 2 * np.pi / kappa
-    if separation < _MIN_SEPARATION_WAVELENGTHS * wavelength:
+    if not kernel_applies(separation, kappa):
         raise ValueError(
             "grids closer than lambda/100: scalar Green kernel not applicable"
         )

@@ -10,11 +10,7 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
-from scipy import integrate as _scipy_integrate
 from scipy import special as _special
 
 #: Largest supported Bessel order; mode sweeps in the shipped experiments
@@ -45,76 +41,11 @@ def bessel_j(order: int, x):
     return value
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Quadrature rule description for the radial integrals.
-
-    ``rule`` is either ``"fixed"`` (composite trapezoid with exactly
-    ``max_subdivisions`` panels, i.e. step (b-a)/max_subdivisions) or
-    ``"adaptive"`` (scipy's QUADPACK with ``tolerance`` as the absolute
-    target and ``max_subdivisions`` as the interval limit).
-    """
-
-    rule: str = "fixed"
-    tolerance: float = 1e-8
-    max_subdivisions: int = 256
-
-    def __post_init__(self) -> None:
-        if self.rule not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if not self.tolerance > 0:
-            raise ValueError("quadrature tolerance must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
 def panels_for_step(span: float, target_step: float) -> int:
     """Panel count whose exact step is <= target_step over a span."""
     if span <= 0 or target_step <= 0:
         raise ValueError("span and target_step must be positive")
     return max(2, int(np.ceil(span / target_step)))
-
-
-def integrate_radial(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    quadrature: Quadrature = Quadrature(),
-) -> complex:
-    """Integrate a complex-valued radial function over [a, b].
-
-    The integrand is called with a numpy array of radii and must return the
-    per-radius values (scalar functions are fine too; numpy broadcasting
-    covers them).
-
-    Args:
-        f: map radius -> complex value.
-        a, b: integration limits, 0 <= a < b.
-        quadrature: rule to apply; the default is the fixed trapezoid used
-            throughout the field synthesis.
-
-    Returns:
-        Approximation of the integral as a complex number.
-    """
-    if a < 0 or b <= a:
-        raise ValueError(f"invalid radial interval [{a}, {b}]")
-    if quadrature.rule == "fixed":
-        nodes = np.linspace(a, b, quadrature.max_subdivisions + 1)
-        values = np.asarray(f(nodes), dtype=complex)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite integrand sample in integrate_radial")
-        return complex(np.trapezoid(values, nodes))
-    real, _ = _scipy_integrate.quad(
-        lambda r: float(np.real(f(np.asarray(r)))),
-        a, b, epsabs=quadrature.tolerance, limit=quadrature.max_subdivisions,
-    )
-    imag, _ = _scipy_integrate.quad(
-        lambda r: float(np.imag(f(np.asarray(r)))),
-        a, b, epsabs=quadrature.tolerance, limit=quadrature.max_subdivisions,
-    )
-    if not (np.isfinite(real) and np.isfinite(imag)):
-        raise ValueError("non-finite adaptive quadrature result")
-    return complex(real, imag)
 
 
 def svd_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Scenario, point_distance
+from .geometry import Scenario
 from .numerics import bessel_j, panels_for_step
 
 #: Default number of radial output samples on [0, R_R].
@@ -75,7 +75,8 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
     focusing and 1 when the transmit profile carries the conjugate
     focusing phase.  The mode-constant j^l comes from the azimuthal
     integral identity int e^{j l u} e^{j x cos u} du = 2 pi j^l J_l(x) and
-    is what the exact-kernel oracle reproduces; it never affects energies
+    is what the exact-kernel oracle (``rx_field_radial_exact`` in
+    ``tests/oracles.py``) reproduces; it never affects energies
     or magnitude profiles.  With the reflection J_{-l} = (-1)^l J_l it
     makes psi_{-l} equal psi_l bitwise.
 
@@ -146,69 +147,6 @@ def field_energies(fields: np.ndarray, grid: np.ndarray) -> np.ndarray:
     not carry it.
     """
     return 2 * np.pi * np.trapezoid(np.abs(fields) ** 2 * grid, grid, axis=-1)
-
-
-def focused_fundamental_profile(scenario: Scenario, grid: np.ndarray) -> np.ndarray:
-    """Closed-form focused fundamental-mode profile (Airy pattern).
-
-    For l = 0 with transmit focusing, the radial integral has the closed
-    form R_T J_1(X)/X with X = kappa rho_R R_T / z, giving
-
-        psi_1^rho(rho_R) = R_T / (2 z sqrt(pi)) * e^{-j kappa rho_R^2/2z}
-                           e^{-j kappa z} * J_1(X)/X      (J_1(X)/X -> 1/2 at X=0)
-
-    Used as an independent check of the quadrature route.
-    """
-    grid = np.asarray(grid, dtype=float)
-    z = scenario.distance
-    kappa = scenario.kappa
-    x = kappa * grid * scenario.radius_tx / z
-    ratio = np.full_like(x, 0.5)
-    nz = x != 0
-    ratio[nz] = bessel_j(1, x[nz]) / x[nz]
-    amplitude = scenario.radius_tx / (2 * z * np.sqrt(np.pi))
-    phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    return amplitude * phase * ratio
-
-
-def rx_field_radial_exact(
-    charge: int,
-    scenario: Scenario,
-    focused: bool,
-    grid: np.ndarray,
-    angular_samples: int = 128,
-) -> np.ndarray:
-    """Receive profile via the exact-distance kernel (validation oracle).
-
-    Integrates the transmit profile against the exact scalar Green function
-    over the transmit disk (2-D quadrature: uniform azimuth rule, fixed
-    radial trapezoid).  Much slower than :func:`radial_fields`; intended
-    for coarse-grid cross-checks of the Fresnel route, not for experiment
-    sweeps.
-
-    Returns:
-        psi^rho of ``charge`` sampled on ``grid``.
-    """
-    grid = np.asarray(grid, dtype=float)
-    z = scenario.distance
-    kappa = scenario.kappa
-    r_t = scenario.radius_tx
-
-    panels = panels_for_step(r_t, scenario.wavelength * QUADRATURE_STEP_FRACTION)
-    rho_t = np.linspace(0.0, r_t, panels + 1)
-    phi_t = np.arange(angular_samples) * (2 * np.pi / angular_samples)
-
-    radial_part = tx_radial(scenario, focused, rho_t) * rho_t
-    angular = np.exp(1j * charge * phi_t) / np.sqrt(np.pi)
-    out = np.zeros(len(grid), dtype=complex)
-    # Evaluate the full transmit-disk integral at phi_R = 0; separability of
-    # the exact kernel in (phi_R - phi_T) makes this the radial factor.
-    for phi, ang in zip(phi_t, angular):
-        dist = point_distance(rho_t[None, :], phi, grid[:, None], 0.0, z)
-        kernel = np.exp(-1j * kappa * dist) / (4 * np.pi * dist)
-        out += ang * np.trapezoid(kernel * radial_part[None, :], rho_t, axis=1)
-    out *= 2 * np.pi / angular_samples
-    return out
 
 
 def mode_energies(scenario: Scenario, charges, focused=FOCUS_STATES) -> np.ndarray:

@@ -18,9 +18,7 @@ from oamlis.detect import (
     DetectorConfig,
     NoiseModel,
     ber_curves,
-    demultiplex,
     ed_ber,
-    ed_statistic,
     gaussian_ber,
     id_statistic,
     interval_mask,
@@ -33,6 +31,7 @@ from oamlis.detect import (
 )
 from oamlis.experiments import detector_for
 from oamlis.oam import default_radial_grid, mode_energies, radial_fields
+from oracles import demultiplex, ed_statistic
 
 
 def test_slot_grid_default_layout():

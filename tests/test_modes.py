@@ -12,10 +12,10 @@ from oamlis.modes import (
     count_modes,
     coupling_matrix,
     disk_grid,
-    green,
     svd_mode_spectrum,
 )
 from oamlis.numerics import svd_spectrum
+from oracles import green
 
 
 def test_disk_grid_weights_sum_to_disk_area():

@@ -8,9 +8,7 @@ from numpy.testing import assert_allclose
 
 from oamlis.numerics import (
     MAX_ORDER,
-    Quadrature,
     bessel_j,
-    integrate_radial,
     panels_for_step,
     svd_spectrum,
 )
@@ -68,51 +66,12 @@ def test_bessel_order_cap():
         bessel_j(-(MAX_ORDER + 1), 1.0)
 
 
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        Quadrature(rule="simpson")
-    with pytest.raises(ValueError):
-        Quadrature(tolerance=0.0)
-    with pytest.raises(ValueError):
-        Quadrature(max_subdivisions=0)
-
-
 def test_panels_for_step():
     assert panels_for_step(1.0, 0.1) == 10
     assert panels_for_step(1.0, 0.3) == 4
     assert panels_for_step(1e-6, 1.0) == 2
     with pytest.raises(ValueError):
         panels_for_step(0.0, 0.1)
-
-
-def test_integrate_radial_bessel_identity():
-    # int_0^1 J_1 = 1 - J_0(1); the quadrature result is checked against
-    # the frozen decimal value of the right-hand side.
-    expected = 0.2348023134420334
-    adaptive = integrate_radial(lambda r: bessel_j(1, r), 0.0, 1.0, Quadrature("adaptive"))
-    assert_allclose(adaptive.real, expected, atol=1e-10)
-    fixed = integrate_radial(lambda r: bessel_j(1, r), 0.0, 1.0)
-    assert_allclose(fixed.real, expected, atol=1e-5)
-
-
-def test_integrate_radial_fixed_rule_step_halving():
-    f = lambda r: np.exp(1j * 7 * r) * r
-    exact = integrate_radial(f, 0.0, 2.0, Quadrature("adaptive", tolerance=1e-12))
-    coarse = integrate_radial(f, 0.0, 2.0, Quadrature("fixed", max_subdivisions=64))
-    fine = integrate_radial(f, 0.0, 2.0, Quadrature("fixed", max_subdivisions=128))
-    # trapezoid error is O(h^2): halving the step cuts it by about 4
-    ratio = abs(coarse - exact) / abs(fine - exact)
-    assert 3.0 < ratio < 5.0
-
-
-def test_integrate_radial_polynomial_and_interval_checks():
-    assert_allclose(integrate_radial(lambda r: 2 * r, 0.0, 1.0).real, 1.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        integrate_radial(lambda r: r, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        integrate_radial(lambda r: r, -0.1, 1.0)
-    with np.errstate(divide="ignore"), pytest.raises(ValueError):
-        integrate_radial(lambda r: r / (r - 0.5), 0.0, 1.0)  # non-finite sample
 
 
 def test_svd_spectrum_gram_eigenvalue_oracle():
