@@ -22,7 +22,13 @@ import numpy as np
 from .detect import MIN_TRIALS, DetectorConfig, ber_curves, tnr_curves
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import _MIN_SEPARATION_WAVELENGTHS as _MIN_SEPARATION
-from .modes import count_modes, holds_a_site, kernel_applies, svd_mode_spectrum
+from .modes import (
+    check_matrix_budget,
+    count_modes,
+    holds_a_site,
+    kernel_applies,
+    svd_mode_spectrum,
+)
 from .numerics import MAX_ORDER
 from .oam import (
     FOCUS_STATES,
@@ -142,20 +148,27 @@ class ExperimentConfig:
             raise ValueError("slot must be at most the receive radius R")
         if not all(distance > 0 for distance in self.distances):
             raise ValueError("distances must be positive")
-        # Each lattice spectrum's smaller radius and distance, checked in the
-        # meters that disk_grid and the Green kernel will see.
+        # Each lattice spectrum's radii and distance, checked in the meters
+        # that disk_grid, the Green kernel and the assembly budget will see.
         lattice_links = {
-            "spectrum": [(min(self.T, self.R), self.D)],
+            "spectrum": [(self.T, self.R, self.D)],
             "dof_vs_distance": [
-                (min(T, R), D) for _, (T, R) in _preset_list(self) for D in self.distances
+                (T, R, D) for _, (T, R) in _preset_list(self) for D in self.distances
             ],
         }
-        for radius, D in lattice_links.get(self.kind, ()):
-            if not holds_a_site(radius * self.wavelength, self.spacing * self.wavelength):
+        spacing = self.spacing * self.wavelength
+        for T, R, D in lattice_links.get(self.kind, ()):
+            if not holds_a_site(min(T, R) * self.wavelength, spacing):
                 raise ValueError(
                     f"spacing {self.spacing:g} leaves no lattice site in a disk of "
-                    f"radius {radius:g}; it must be at most sqrt(2) times each radius"
+                    f"radius {min(T, R):g}; it must be at most sqrt(2) times each radius"
                 )
+            try:
+                check_matrix_budget(
+                    T * self.wavelength, R * self.wavelength, spacing, self.wavelength
+                )
+            except MemoryError as err:
+                raise ValueError(str(err)) from None
             if not kernel_applies(D * self.wavelength, 2 * np.pi / self.wavelength):
                 raise ValueError(
                     f"distance {D:g} is under {_MIN_SEPARATION:g} wavelengths, "

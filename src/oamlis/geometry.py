@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,11 +34,16 @@ class Scenario:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.distance < max(self.radius_tx, self.radius_rx):
+            # Name the line that built the scenario: the first frame past this
+            # method, the dataclass-made __init__ and any constructor here.
+            level, frame = 3, sys._getframe(2)
+            while frame.f_code.co_filename == __file__ and frame.f_back is not None:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "link distance is smaller than the largest disk radius; "
                 "the paraxial mode-count formula and the quadratic phase "
                 "approximation are unreliable in this regime",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     @classmethod

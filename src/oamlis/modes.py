@@ -150,7 +150,7 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     """
     if spacing is None:
         spacing = scenario.wavelength / 2
-    _check_matrix_budget(scenario, spacing)
+    check_matrix_budget(scenario.radius_tx, scenario.radius_rx, spacing, scenario.wavelength)
     sites_t, weight_t = disk_grid(scenario.radius_tx, spacing)
     sites_r, weight_r = disk_grid(scenario.radius_rx, spacing)
     quadrant_r = sites_r[: len(sites_r) // 4]
@@ -162,17 +162,20 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     return np.sort(values)[::-1]
 
 
-def _check_matrix_budget(scenario: Scenario, spacing: float) -> None:
+def check_matrix_budget(radius_tx: float, radius_rx: float, spacing: float, wavelength: float):
+    """Raise MemoryError, naming a pitch that fits, when the coupling blocks
+    of two disk lattices (all lengths in meters) would exceed the assembly
+    budget."""
     # Site count of each disk lattice, estimated by its area; the lattice
     # holds a little more (316 sites against 314.2 at a 5-wavelength radius
     # and lambda/2 pitch).  The largest array is the complex (N_r/4) x N_t
     # coupling of the receive quadrant.
-    n_t = np.pi * scenario.radius_tx**2 / spacing**2
-    n_r = np.pi * scenario.radius_rx**2 / spacing**2
+    n_t = np.pi * radius_tx**2 / spacing**2
+    n_r = np.pi * radius_rx**2 / spacing**2
     required = 16 * n_t * n_r / 4
     if required > _MATRIX_BUDGET_BYTES:
         factor = (required / _MATRIX_BUDGET_BYTES) ** 0.25
-        suggestion = spacing * factor / scenario.wavelength
+        suggestion = spacing * factor / wavelength
         raise MemoryError(
             f"coupling blocks would need {required / 1024**3:.1f} GiB; "
             f"increase the lattice pitch to at least {suggestion:.3g} wavelengths"

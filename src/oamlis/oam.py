@@ -16,6 +16,9 @@ d rho (:func:`field_energies`).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .geometry import Scenario
@@ -89,6 +92,12 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
     either, so each block serves every chirp.  Each row of the result is
     bitwise equal to a one-charge, one-state call.
 
+    The charges are spread over the CPUs this process may run on: the
+    calling thread and one helper thread per further CPU each take an
+    interleaved share of the columns.  Every charge runs the same
+    operations whichever thread takes it and writes only its own column,
+    so the result does not depend on the CPU count.
+
     Args:
         scenario: link geometry.
         charges: signed topological charges.
@@ -109,9 +118,9 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
     rho_t = np.linspace(0.0, r_t, panels + 1)
     args = kappa * np.outer(grid, rho_t) / z
     # Distinct bit patterns, so that 0.0 and -0.0 keep their own J_l.
-    distinct, inverse = np.unique(args.view(np.int64), return_inverse=True)
+    distinct, inverse = _distinct_keys(args.view(np.int64).ravel())
     distinct = distinct.view(float)
-    inverse = inverse.astype(np.int32).reshape(args.shape)
+    inverse = inverse.reshape(args.shape)
     del args
 
     phase = np.exp(-1j * kappa * grid**2 / (2 * z)) * np.exp(-1j * kappa * z)
@@ -124,20 +133,57 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
         weights.append(rho_t * chirp)
     charges = [int(ell) for ell in charges]
     fields = np.empty((len(weights), len(charges), len(grid)), dtype=complex)
-    for col, ell in enumerate(charges):
-        values = bessel_j(ell, distinct)
-        integrals = np.empty((len(weights), len(grid)), dtype=complex)
-        for start in range(0, len(grid), KERNEL_ROW_BLOCK):
-            rows = slice(start, start + KERNEL_ROW_BLOCK)
-            kernel = values[inverse[rows]]
-            for integral, weight in zip(integrals, weights):
-                integral[rows] = np.trapezoid(weight * kernel, rho_t, axis=1)
-        # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
-        unit = (1.0, 1j, -1.0, -1j)[ell % 4]
-        prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
-        for row, integral in enumerate(integrals):
-            fields[row, col] = prefactor * phase * integral
+
+    def fill(cols):
+        for col in cols:
+            ell = charges[col]
+            values = bessel_j(ell, distinct)
+            integrals = np.empty((len(weights), len(grid)), dtype=complex)
+            for start in range(0, len(grid), KERNEL_ROW_BLOCK):
+                rows = slice(start, start + KERNEL_ROW_BLOCK)
+                kernel = values[inverse[rows]]
+                for integral, weight in zip(integrals, weights):
+                    integral[rows] = np.trapezoid(weight * kernel, rho_t, axis=1)
+            # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
+            unit = (1.0, 1j, -1.0, -1j)[ell % 4]
+            prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
+            for row, integral in enumerate(integrals):
+                fields[row, col] = prefactor * phase * integral
+
+    # scipy's jv and numpy's gather and trapezoid release the GIL.  The pool
+    # starts a thread per submitted share only, so one worker starts none.
+    workers = max(1, min(_worker_count(), len(charges)))
+    with ThreadPoolExecutor(workers) as pool:
+        shares = [pool.submit(fill, range(k, len(charges), workers)) for k in range(1, workers)]
+        fill(range(0, len(charges), workers))
+        for share in shares:
+            share.result()
     return fields
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _distinct_keys(keys: np.ndarray):
+    """``np.unique(keys, return_inverse=True)`` of 1-D int64 keys, with an
+    int32 inverse, from one argsort and a running count of first
+    occurrences: fewer full-size temporaries than ``np.unique``."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first]
+    del ranked
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    inverse = np.empty(len(keys), dtype=np.int32)
+    inverse[order] = rank
+    return distinct, inverse
 
 
 def field_energies(fields: np.ndarray, grid: np.ndarray) -> np.ndarray:

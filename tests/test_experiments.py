@@ -258,9 +258,10 @@ def test_run_spectrum_is_reproducible(tmp_path):
 
 
 def test_run_spectrum_rejects_oversized_lattice(tmp_path):
-    config = default_config("spectrum", T=4000.0, R=4000.0, D=30000.0, out=str(tmp_path))
-    with pytest.raises(MemoryError):
-        run_spectrum(config)
+    # The assembly budget is checked when the config is built, before any run.
+    with pytest.raises(ValueError, match="coupling blocks would need .* GiB; increase"):
+        default_config("spectrum", T=4000.0, R=4000.0, D=30000.0, out=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_dof_reproduces_mode_counts(tmp_path):
@@ -473,8 +474,9 @@ def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, mess
     assert not out.exists()
 
 
-#: Argument lists with an empty list, a slot wider than R, a lattice pitch or
-#: distance that the lattice spectrum cannot take, with the reason.
+#: Argument lists with an empty list, a slot wider than R, a lattice pitch,
+#: distance or lattice size that the lattice spectrum cannot take, with the
+#: reason.
 BAD_SHAPE_ARGV = {
     ("ber", "--modes="): "modes must not be empty",
     ("tnr", "--modes="): "modes must not be empty",
@@ -488,6 +490,9 @@ BAD_SHAPE_ARGV = {
     ("dof", "--distances", "-5"): "distances must be positive",
     ("dof", "--distances", "50,0.001"): "distance 0.001 is under 0.01",
     ("dof", "--preset", "downlink", "--spacing", "7.1"): "spacing 7.1 leaves no",
+    ("spectrum", "--T", "4000", "--R", "4000"): "coupling blocks would need 150598211.7 GiB; "
+    "increase the lattice pitch to at least 46.6 wavelengths",
+    ("dof", "--preset", "downlink", "--spacing", "0.001"): "coupling blocks would need",
     ("pathgain", "--distances", "0"): "distances must be positive",
 }
 

@@ -66,6 +66,13 @@ def test_scenario_warns_outside_paraxial_regime():
         Scenario.normalized(10, 10, 50)
 
 
+def test_paraxial_warning_names_the_callers_line():
+    for build in (lambda: Scenario(distance=0.5), lambda: Scenario.normalized(10, 10, 5)):
+        with pytest.warns(UserWarning, match="link distance") as record:
+            build()
+        assert [warning.filename for warning in record] == [__file__]
+
+
 def test_analytic_dof_examples():
     assert_allclose(analytic_dof(Scenario.normalized(10, 10, 50)), 4 * np.pi**2)
     assert_allclose(analytic_dof(Scenario.normalized(25, 5, 50)), 6.25 * np.pi**2)

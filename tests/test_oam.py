@@ -1,5 +1,6 @@
 """Tests for the OAM transmit basis and Fresnel-zone propagation."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oamlis import Scenario
+from oamlis import Scenario, oam
 from oamlis.detect import slot_grid
 from oamlis.experiments import default_config
 from oamlis.numerics import MAX_ORDER, bessel_j, panels_for_step
@@ -175,6 +176,41 @@ def test_radial_samples_bitwise_equal_to_full_kernel(T, R, D, charges):
             expected[row, col] = 2 * np.pi * np.trapezoid(np.abs(full[row]) ** 2 * grid, grid)
     assert_array_equal(field_energies(fields, grid), expected)
     assert_array_equal(mode_energies(s, charges), expected)
+
+
+def test_radial_fields_bitwise_equal_on_more_workers_than_cpus(monkeypatch):
+    # Five workers on any machine, and a thread switch every microsecond:
+    # every column still equals its one-charge call, and an error in a
+    # helper's share still raises.
+    monkeypatch.setattr(oam, "_worker_count", lambda: 5)
+    s = Scenario.normalized(6, 3, 40)
+    charges = standard_charges(23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fields = radial_fields(s, charges)
+        singles = [radial_fields(s, [ell]) for ell in charges]
+        # Column 4 falls to the fifth worker, a helper thread.
+        with pytest.raises(ValueError, match="outside supported range"):
+            radial_fields(s, [0, 1, 2, 3, MAX_ORDER + 1])
+    finally:
+        sys.setswitchinterval(interval)
+    for col, single in enumerate(singles):
+        assert_array_equal(fields[:, col], single[:, 0])
+
+
+# Values with repeats, both zeros and NaN: each key is a float64's bit pattern.
+_KEY_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5)), st.floats(width=64))
+
+
+@given(values=st.lists(_KEY_VALUES, max_size=300))
+def test_distinct_keys_match_np_unique(values):
+    keys = np.array(values, dtype=float).view(np.int64)
+    distinct, inverse = oam._distinct_keys(keys)
+    expected, expected_inverse = np.unique(keys, return_inverse=True)
+    assert distinct.dtype == np.int64 and inverse.dtype == np.int32
+    assert_array_equal(distinct, expected)
+    assert_array_equal(inverse, expected_inverse.reshape(-1))
 
 
 def _peak_bytes(call) -> int:
