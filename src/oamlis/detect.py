@@ -26,6 +26,13 @@ noise term are linear in the noise, so one projection of the chunk's noise
 onto the stacked branch templates, plus one windowed noise energy per ED
 window, gives every branch's statistic (Proakis & Salehi, Digital
 Communications, 2008, ch. 4).
+
+The (point, chunk) units run on the CPUs the process may use.  Each chunk
+draws its bits, then the real parts of its whole noise, then the imaginary
+parts block by block from the same stream, and scores each block of rows
+as it is drawn (:meth:`NoiseModel.blocks`).  Every unit has its own seed
+and only integer error counts are summed, so the results do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -37,12 +44,18 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr, erfc
 
 from .geometry import Scenario
+from .numerics import _run_shares
 from .oam import default_radial_grid, field_energies, radial_fields
 
 #: Default radial slot width for noise synthesis, as a wavelength fraction.
 SLOT_WAVELENGTH_FRACTION = 0.25
 #: Trials per Monte Carlo chunk; fixed so runs are seed-reproducible.
 CHUNK_TRIALS = 25000
+#: Trial rows per block when a chunk's imaginary parts are drawn and its
+#: statistics scored; bounds the scoring's working memory at any chunk size.
+NOISE_ROW_BLOCK = 2048
+#: Upper bound on one chunk's real-part plane, CHUNK_TRIALS x M floats.
+_CHUNK_BUDGET_BYTES = 2 * 1024**3
 #: Fewest Monte Carlo trials per point that a sweep accepts.
 MIN_TRIALS = 10000
 #: OOK "one" amplitude; average symbol energy then matches unit-amplitude BPSK.
@@ -62,14 +75,33 @@ def slot_grid(radius: float, slot: float | None = None, wavelength: float = 0.1)
     Returns:
         (radii, delta) with radii of shape (M,).
     """
+    count = _slot_count(radius, slot, wavelength)
+    delta = radius / count
+    radii = (np.arange(count) + 0.5) * delta
+    return radii, delta
+
+
+def _slot_count(radius: float, slot: float | None, wavelength: float) -> int:
+    """Slot count M of :func:`slot_grid`."""
     if slot is None:
         slot = SLOT_WAVELENGTH_FRACTION * wavelength
     if slot <= 0 or slot > radius:
         raise ValueError("slot width must be positive and at most the radius")
-    count = math.ceil(radius / slot)
-    delta = radius / count
-    radii = (np.arange(count) + 0.5) * delta
-    return radii, delta
+    return math.ceil(radius / slot)
+
+
+def check_chunk_budget(radius: float, slot: float | None = None, wavelength: float = 0.1):
+    """Raise ValueError when one Monte Carlo chunk's real-part plane,
+    CHUNK_TRIALS x M floats on the :func:`slot_grid` of these arguments,
+    would exceed the chunk budget."""
+    count = _slot_count(radius, slot, wavelength)
+    max_slots = _CHUNK_BUDGET_BYTES // (CHUNK_TRIALS * 8)
+    if count > max_slots:
+        raise ValueError(
+            f"one Monte Carlo chunk would need {CHUNK_TRIALS * count * 8 / 1024**3:.1f} GiB "
+            f"of noise for {count} slots; at most {max_slots} slots fit in the "
+            f"{_CHUNK_BUDGET_BYTES / 1024**3:g} GiB chunk budget, so widen the slot"
+        )
 
 
 @dataclass(frozen=True)
@@ -103,20 +135,35 @@ class NoiseModel:
         """Per-slot complex noise variance 2 pi N0 / (rho_i delta)."""
         return 2 * np.pi * self.n0 / (self.radii * self.delta)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw (count, M) circular complex noise samples.
+    def blocks(self, rng: np.random.Generator, count: int, rows: int = NOISE_ROW_BLOCK):
+        """Draw (count, M) circular complex noise samples, ``rows`` at a time.
 
-        The real parts are drawn before the imaginary parts, and each is
-        scaled in place in the output array.
+        The real parts of all ``count`` samples are drawn first, then the
+        imaginary parts block by block from the same stream; each part is
+        scaled in place.  Each block is yielded in the interleaved (re, im)
+        float layout, shape (rows, 2M): the float view of the complex
+        samples.  The blocks concatenated are the same bits for any
+        ``rows``, and only one block of imaginary parts is held at a time.
         """
+        if count < 1 or rows < 1:
+            raise ValueError("sample and block counts must be positive")
         scale = np.sqrt(self.variances() / 2)
-        shape = (count, self.n_slots)
-        noise = np.empty(shape, dtype=complex)
-        noise.real = rng.standard_normal(shape)
-        noise.real *= scale
-        noise.imag = rng.standard_normal(shape)
-        noise.imag *= scale
-        return noise
+        real = rng.standard_normal((count, self.n_slots))
+        real *= scale
+        for start in range(0, count, rows):
+            part = real[start : start + rows]
+            imag = rng.standard_normal(part.shape)
+            imag *= scale
+            block = np.empty((len(part), 2 * self.n_slots))
+            block[:, 0::2] = part
+            block[:, 1::2] = imag
+            yield block
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw (count, M) circular complex noise samples: the one-block
+        case of :meth:`blocks`."""
+        (block,) = self.blocks(rng, count, rows=count)
+        return block.view(complex)
 
 
 @dataclass(frozen=True)
@@ -461,14 +508,16 @@ class _Scorer:
         weights = branches[0].radii * branches[0].delta
         self.windows = np.repeat(windows * weights, 2, axis=1)
 
-    def statistics(self, bits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    def statistics(self, bits: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(count, branches) statistics of one draw.
 
-        A branch decides "1" where its statistic reaches its threshold:
-        0 for the coherent branches, the ED threshold for the energy
-        detectors.
+        ``v`` is the (count, 2M) interleaved float view of the noise, as
+        :meth:`NoiseModel.blocks` yields it.  Each row's statistics depend
+        on that row alone, bitwise, so a chunk may be scored in blocks of
+        rows.  A branch decides "1" where its statistic reaches its
+        threshold: 0 for the coherent branches, the ED threshold for the
+        energy detectors.
         """
-        v = noise.view(float)
         stats = np.einsum("nk,bk->nb", v, self.rows)
         if self.coherent.size:
             stats[:, self.coherent] += np.outer(2.0 * bits - 1.0, self.gains)
@@ -516,13 +565,6 @@ def _make_branches(
     return built
 
 
-def _draw(model: NoiseModel, seed: np.random.SeedSequence, count: int):
-    """Bits and slot noise of one chunk; every branch is scored on them."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, count)
-    return bits, model.sample(rng, count)
-
-
 def _decision_threshold(branch: _Branch, n0: float) -> float:
     """Level a branch's statistic must reach to decide "1" at noise level n0:
     0 for the coherent branches, the closed-form optimum for the energy
@@ -549,6 +591,7 @@ def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_
     members = {int(m) for m in mode_set}
     if any(int(charge) not in members for charge, _ in branches):
         raise ValueError("branch charge must belong to the multiplexed set")
+    check_chunk_budget(scenario.radius_rx, slot, scenario.wavelength)
     radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
     symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
     scorer = _Scorer(_make_branches(scenario, branches, focused, radii, delta, fields))
@@ -559,27 +602,39 @@ def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_
     return scorer, symbol_energy, noise_at
 
 
-def _count_errors(
-    scorer: _Scorer,
-    model: NoiseModel,
-    seed_sequence: np.random.SeedSequence,
-    trials: int,
-    thresholds: np.ndarray,
-) -> np.ndarray:
-    """(branches, levels) bit error counts over ``trials`` symbols.
+def _count_errors(scorer: _Scorer, models, point_seeds, trials: int, thresholds) -> list:
+    """Per point, the (branches, levels) bit error counts over ``trials`` symbols.
 
-    The trials are drawn in chunks of CHUNK_TRIALS, each seeded by one child
-    of ``seed_sequence``.  ``thresholds`` broadcasts to (branches, levels):
-    a branch decides "1" at a level where its statistic reaches it.
+    Point k draws with ``models[k]`` and decides at ``thresholds[k]``, which
+    broadcasts to (branches, levels): a branch decides "1" at a level where
+    its statistic reaches it.  Its trials are drawn in chunks of
+    CHUNK_TRIALS, each seeded by one child of ``point_seeds[k]``.  The
+    (point, chunk) units run on the process's CPUs (largest chunks first,
+    so the shares stay even) and each writes only its own counts, so the
+    sums do not depend on the CPU count.
     """
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
-    errors = 0
-    for chunk, chunk_seed in zip(sizes, seed_sequence.spawn(len(sizes))):
-        bits, noise = _draw(model, chunk_seed, chunk)
-        decided = scorer.statistics(bits, noise)[:, :, None] >= thresholds
-        errors = errors + np.count_nonzero(decided != (bits == 1)[:, None, None], axis=0)
-    return errors
+    chunk_seeds = [point_seed.spawn(len(sizes)) for point_seed in point_seeds]
+    units = [(k, c) for c in range(len(sizes)) for k in range(len(models))]
+    counts = [None] * len(units)
+
+    def work(share):
+        for unit in share:
+            k, c = units[unit]
+            rng = np.random.default_rng(chunk_seeds[k][c])
+            bits = rng.integers(0, 2, sizes[c])
+            errors, start = 0, 0
+            for block in models[k].blocks(rng, sizes[c]):
+                rows = bits[start : start + len(block)]
+                start += len(block)
+                decided = scorer.statistics(rows, block)[:, :, None] >= thresholds[k]
+                errors = errors + np.count_nonzero(decided != (rows == 1)[:, None, None], axis=0)
+            counts[unit] = errors
+
+    # numpy's draws and einsum release the GIL.
+    _run_shares(work, len(units))
+    return [sum(counts[k :: len(models)]) for k in range(len(models))]
 
 
 def ber_curves(
@@ -625,13 +680,14 @@ def ber_curves(
     scorer, e_s, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot)
     snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
-    errors = np.zeros((len(scorer.branches), len(snr_db)))
-    for k, (snr, point_seed) in enumerate(zip(snr_db, point_seeds)):
-        model = noise_at(snr)
-        zetas = np.array([[_decision_threshold(branch, model.n0)] for branch in scorer.branches])
-        errors[:, k] = _count_errors(scorer, model, point_seed, trials, zetas)[:, 0]
+    models = [noise_at(snr) for snr in snr_db]
+    zetas = [
+        np.array([[_decision_threshold(branch, model.n0)] for branch in scorer.branches])
+        for model in models
+    ]
+    errors = np.array(_count_errors(scorer, models, point_seeds, trials, zetas))[:, :, 0]
     counts = np.full(len(snr_db), trials)
-    return [BerCurve.from_counts(snr_db, row, counts) for row in errors], e_s
+    return [BerCurve.from_counts(snr_db, row, counts) for row in errors.T], e_s
 
 
 def tnr_curves(
@@ -670,6 +726,7 @@ def tnr_curves(
     tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
     model = noise_at(snr_db)
     thresholds = model.n0 * 10 ** (tnr_db / 10)
-    errors = _count_errors(scorer, model, np.random.SeedSequence(seed), trials, thresholds)
+    seeds = [np.random.SeedSequence(seed)]
+    (errors,) = _count_errors(scorer, [model], seeds, trials, [thresholds])
     counts = np.full(len(tnr_db), trials)
     return [BerCurve.from_counts(tnr_db, row, counts) for row in errors]

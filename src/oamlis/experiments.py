@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import MIN_TRIALS, DetectorConfig, ber_curves, tnr_curves
+from .detect import MIN_TRIALS, DetectorConfig, ber_curves, check_chunk_budget, tnr_curves
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import _MIN_SEPARATION_WAVELENGTHS as _MIN_SEPARATION
 from .modes import (
@@ -144,8 +144,11 @@ class ExperimentConfig:
             value = getattr(self, field.name)
             if isinstance(value, tuple) and not value:
                 raise ValueError(f"{field.name} must not be empty")
-        if self.kind in ("ber", "tnr") and self.slot > self.R:
-            raise ValueError("slot must be at most the receive radius R")
+        if self.kind in ("ber", "tnr"):
+            if self.slot > self.R:
+                raise ValueError("slot must be at most the receive radius R")
+            wavelength = self.wavelength
+            check_chunk_budget(self.R * wavelength, self.slot * wavelength, wavelength)
         if not all(distance > 0 for distance in self.distances):
             raise ValueError("distances must be positive")
         # Each lattice spectrum's radii and distance, checked in the meters

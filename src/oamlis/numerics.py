@@ -5,10 +5,15 @@ rest of the code relies on everywhere: integer-order Bessel functions with
 the reflection rule J_{-l}(x) = (-1)^l J_l(x) applied *exactly* (same float
 values up to sign), so that quantities that are analytically degenerate in
 the sign of the topological charge come out degenerate in floating point
-too.
+too.  :func:`_run_shares` is the one thread pool of the package: it spreads
+independent work items over the CPUs the process may use.  It is private
+plumbing, not a numerical layer: the work it runs belongs to its caller.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special as _special
@@ -63,3 +68,29 @@ def svd_spectrum(matrix: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("svd_spectrum input contains non-finite entries")
     return np.linalg.svd(m, compute_uv=False)
+
+
+def _run_shares(work, count: int) -> None:
+    """Call ``work(share)`` on interleaved shares of ``range(count)``, one
+    share per CPU this process may run on.
+
+    The calling thread takes indices 0, W, 2W, ... and one helper thread per
+    further worker takes k, k + W, ..., for W workers (at most ``count``).
+    Every share's result is read, so an error raised in a helper raises
+    here.  ``work`` must write each index's result only to that index's own
+    place; then the outcome does not depend on the CPU count.  The pool
+    starts a thread per submitted share only, so one worker starts none.
+    """
+    workers = max(1, min(_worker_count(), count))
+    with ThreadPoolExecutor(workers) as pool:
+        shares = [pool.submit(work, range(k, count, workers)) for k in range(1, workers)]
+        work(range(0, count, workers))
+        for share in shares:
+            share.result()
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -16,13 +16,10 @@ d rho (:func:`field_energies`).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .geometry import Scenario
-from .numerics import bessel_j, panels_for_step
+from .numerics import _run_shares, bessel_j, panels_for_step
 
 #: Default number of radial output samples on [0, R_R].
 RADIAL_SAMPLES = 1024
@@ -94,7 +91,8 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
 
     The charges are spread over the CPUs this process may run on: the
     calling thread and one helper thread per further CPU each take an
-    interleaved share of the columns.  Every charge runs the same
+    interleaved share of the columns (:func:`~oamlis.numerics._run_shares`).
+    Every charge runs the same
     operations whichever thread takes it and writes only its own column,
     so the result does not depend on the CPU count.
 
@@ -150,22 +148,9 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
             for row, integral in enumerate(integrals):
                 fields[row, col] = prefactor * phase * integral
 
-    # scipy's jv and numpy's gather and trapezoid release the GIL.  The pool
-    # starts a thread per submitted share only, so one worker starts none.
-    workers = max(1, min(_worker_count(), len(charges)))
-    with ThreadPoolExecutor(workers) as pool:
-        shares = [pool.submit(fill, range(k, len(charges), workers)) for k in range(1, workers)]
-        fill(range(0, len(charges), workers))
-        for share in shares:
-            share.result()
+    # scipy's jv and numpy's gather and trapezoid release the GIL.
+    _run_shares(fill, len(charges))
     return fields
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _distinct_keys(keys: np.ndarray):

@@ -1,6 +1,8 @@
 """Tests for slot-grid demultiplexing, receiver statistics and BER sweeps."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,14 +12,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import chi2, ncx2
 
-from oamlis import Scenario, detect, oam
+from oamlis import Scenario, detect, numerics, oam
 from oamlis.detect import (
+    CHUNK_TRIALS,
     DEFAULT_MODE_SET,
     OOK_ONE_AMPLITUDE,
     BerCurve,
     DetectorConfig,
     NoiseModel,
     ber_curves,
+    check_chunk_budget,
     ed_ber,
     gaussian_ber,
     id_statistic,
@@ -65,6 +69,15 @@ def test_noise_model_variance_law():
     assert model.n_slots == 40
 
 
+def test_chunk_budget_counts_slots_as_the_grid_does():
+    # 10,737 real parts of 25,000 trials fit in 2 GiB, 10,738 do not.
+    check_chunk_budget(10_737.0, slot=1.0, wavelength=1.0)
+    with pytest.raises(ValueError, match="10738 slots; at most 10737 slots fit"):
+        check_chunk_budget(10_738.0, slot=1.0, wavelength=1.0)
+    with pytest.raises(ValueError, match="at most the radius"):
+        check_chunk_budget(1.0, slot=2.0)
+
+
 def test_noise_model_validation():
     radii, delta = slot_grid(1.0, wavelength=0.1)
     with pytest.raises(ValueError):
@@ -98,6 +111,28 @@ def test_noise_model_sample_matches_the_complex_product_bitwise():
     imag = reference.standard_normal((1000, model.n_slots))
     expected = (real + 1j * imag) * scale[None, :]
     assert_array_equal(draws.view(np.uint64), expected.view(np.uint64))
+    assert rng.random() == reference.random()
+
+
+@given(count=st.integers(1, 300), rows=st.integers(1, 400))
+@example(count=200, rows=1)
+@example(count=200, rows=7)
+@example(count=200, rows=50)
+@example(count=200, rows=200)
+@example(count=200, rows=201)
+@settings(max_examples=40, deadline=None)
+def test_noise_blocks_concatenate_to_the_one_block_draw(count, rows):
+    # One stream read whole or in blocks of any size gives the same bits,
+    # and leaves the generator in the same state.
+    radii, delta = slot_grid(1.0, wavelength=0.1)
+    model = NoiseModel(n0=0.7, radii=radii, delta=delta)
+    rng, reference = np.random.default_rng(count), np.random.default_rng(count)
+    blocks = list(model.blocks(rng, count, rows))
+    expected = model.sample(reference, count)
+    assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert all(block.shape[1] == 2 * model.n_slots for block in blocks)
+    drawn = np.concatenate(blocks).view(complex)
+    assert_array_equal(drawn.view(np.uint64), expected.view(np.uint64))
     assert rng.random() == reference.random()
 
 
@@ -528,8 +563,10 @@ def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     built = detect._make_branches(s, pairs, True, radii, delta, fields)
     n0 = e_s / 10 ** (6.0 / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
-    bits, noise = detect._draw(model, np.random.SeedSequence(3), 10_000)
-    stats = detect._Scorer(built).statistics(bits, noise)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    bits = rng.integers(0, 2, 10_000)
+    noise = model.sample(rng, 10_000)
+    stats = detect._Scorer(built).statistics(bits, noise.view(float))
     for b, branch in enumerate(built):
         oracle = _oracle_statistic(branch, bits, noise)
         assert_allclose(stats[:, b], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
@@ -560,3 +597,114 @@ def test_ber_curves_peak_memory_does_not_grow_with_branches():
     radii, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
     signal_bytes = 10_000 * len(radii) * np.dtype(complex).itemsize
     assert many - one < signal_bytes
+
+
+def test_scorer_on_row_blocks_equals_one_whole_chunk_call():
+    # Each row's statistics depend on that row alone, bitwise, so a chunk
+    # scored block by block gives the whole-chunk statistics.
+    s = Scenario.normalized(10, 10, 100)
+    names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
+    pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
+    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
+    scorer = detect._Scorer(detect._make_branches(s, pairs, True, radii, delta, fields))
+    model = NoiseModel(n0=e_s / 4, radii=radii, delta=delta)
+    rng = np.random.default_rng(8)
+    bits = rng.integers(0, 2, 5_000)
+    v = model.sample(rng, 5_000).view(float)
+    whole = scorer.statistics(bits, v)
+    for rows in (1, 3, 2048, 4_999):
+        starts = range(0, len(bits), rows)
+        parts = [scorer.statistics(bits[i : i + rows], v[i : i + rows].copy()) for i in starts]
+        assert_array_equal(np.concatenate(parts).view(np.uint64), whole.view(np.uint64))
+
+
+def _serial_bers(s, branches, snr_db, trials, point_seeds, tnr_db=None):
+    """BER rows from the seed tree point_seeds[k].spawn(chunks)[c], each
+    chunk drawn whole (bits, real parts, imaginary parts) and scored in one
+    call, on one thread: one row per branch over the SNR axis, or over the
+    ``tnr_db`` axis at the one SNR point."""
+    scorer, _, noise_at = detect._sweep_setup(s, branches, trials, True, DEFAULT_MODE_SET, None)
+    full, rest = divmod(trials, CHUNK_TRIALS)
+    sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
+    errors = []
+    for snr, point_seed in zip(snr_db, point_seeds, strict=True):
+        model = noise_at(snr)
+        if tnr_db is None:
+            zetas = np.array([[detect._decision_threshold(b, model.n0)] for b in scorer.branches])
+        else:
+            zetas = model.n0 * 10 ** (np.asarray(tnr_db) / 10)
+        total = 0
+        for size, chunk_seed in zip(sizes, point_seed.spawn(len(sizes))):
+            rng = np.random.default_rng(chunk_seed)
+            bits = rng.integers(0, 2, size)
+            stats = scorer.statistics(bits, model.sample(rng, size).view(float))
+            decided = stats[:, :, None] >= zetas
+            total = total + np.count_nonzero(decided != (bits == 1)[:, None, None], axis=0)
+        errors.append(total)
+    rows = errors[0] if tnr_db is not None else np.array(errors)[:, :, 0].T
+    return list(rows / trials)
+
+
+def test_sweeps_bitwise_equal_on_any_worker_count(monkeypatch):
+    # Two chunks per point, on one, two and five workers, with a thread
+    # switch every microsecond: every curve equals the serial count of the
+    # seed tree, and an error raised in a helper's unit still raises.
+    s = Scenario.normalized(10, 10, 100)
+    branches = [(0, DetectorConfig("mf")), (4, DetectorConfig("ed", smart=True))]
+    ed = [(ell, DetectorConfig("ed", smart=smart)) for ell in (0, 4) for smart in (False, True)]
+    snr_db, tnr_db = [4.0, 8.0, 12.0], [24.0, 27.0, 30.0]
+    trials = CHUNK_TRIALS + 5_000
+    # ber spawns one seed per point from the master seed; tnr's one point
+    # takes the master seed itself.
+    point_seeds = np.random.SeedSequence(3).spawn(len(snr_db))
+    serial = [
+        *_serial_bers(s, branches, snr_db, trials, point_seeds),
+        *_serial_bers(s, ed, [12.0], trials, [np.random.SeedSequence(3)], tnr_db),
+    ]
+    assert all(0 < ber.min() for ber in serial)
+    blocks = NoiseModel.blocks
+    failed_on = []
+
+    def fail_on_short_chunks(self, rng, count, rows=detect.NOISE_ROW_BLOCK):
+        if count < CHUNK_TRIALS:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("unit failed")
+        return blocks(self, rng, count, rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(numerics, "_worker_count", lambda: workers)
+            ber, _ = ber_curves(s, branches, snr_db, trials, seed=3)
+            tnr = tnr_curves(s, ed, 12.0, tnr_db, trials, seed=3)
+            for curve, reference in zip([*ber, *tnr], serial, strict=True):
+                assert_array_equal(curve.ber, reference)
+        # The tnr sweep's second, short chunk falls to the helper thread.
+        monkeypatch.setattr(numerics, "_worker_count", lambda: 2)
+        monkeypatch.setattr(NoiseModel, "blocks", fail_on_short_chunks)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            tnr_curves(s, ed, 12.0, tnr_db, trials, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failed_on and threading.main_thread() not in failed_on
+
+
+def test_monte_carlo_peak_memory_stays_below_one_complex_chunk(monkeypatch):
+    # A chunk holds its real parts whole but only one block of imaginary
+    # parts and statistics: one 25,000-trial chunk peaks below that chunk's
+    # complex noise array, and two chunks in flight below twice that.
+    s = Scenario.normalized(10, 10, 100)
+    detectors = (DetectorConfig("mf"), DetectorConfig("id", smart=True), DetectorConfig("ed"))
+    branches = [(charge, config) for charge in (0, 4) for config in detectors]
+    radii, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    noise_bytes = CHUNK_TRIALS * len(radii) * np.dtype(complex).itemsize
+
+    def sweep(points):
+        return lambda: ber_curves(s, branches, [8.0] * points, trials=CHUNK_TRIALS, seed=1)
+
+    monkeypatch.setattr(numerics, "_worker_count", lambda: 2)
+    sweep(2)()  # warm caches outside the measurement
+    assert _peak_bytes(sweep(1)) < noise_bytes
+    assert _peak_bytes(sweep(2)) < 2 * noise_bytes

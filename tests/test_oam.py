@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oamlis import Scenario, oam
+from oamlis import Scenario, numerics, oam
 from oamlis.detect import slot_grid
 from oamlis.experiments import default_config
 from oamlis.numerics import MAX_ORDER, bessel_j, panels_for_step
@@ -182,7 +182,7 @@ def test_radial_fields_bitwise_equal_on_more_workers_than_cpus(monkeypatch):
     # Five workers on any machine, and a thread switch every microsecond:
     # every column still equals its one-charge call, and an error in a
     # helper's share still raises.
-    monkeypatch.setattr(oam, "_worker_count", lambda: 5)
+    monkeypatch.setattr(numerics, "_worker_count", lambda: 5)
     s = Scenario.normalized(6, 3, 40)
     charges = standard_charges(23)
     interval = sys.getswitchinterval()
