@@ -36,7 +36,7 @@ from .oam import (
     standard_charges,
     tx_radial,
 )
-from .detect import BerCurve, DetectorConfig, NoiseModel, ber_curves, smart_window, tnr_curves
+from .detect import BerCurve, NoiseModel, ber_curves, smart_window, tnr_curves
 from .experiments import ExperimentConfig, default_config, parse_config, serialize_config, run
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "standard_charges",
     "tx_radial",
     "BerCurve",
-    "DetectorConfig",
     "NoiseModel",
     "ber_curves",
     "smart_window",

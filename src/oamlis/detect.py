@@ -5,7 +5,7 @@ demultiplexing, y_n(rho) = 2 pi x_n psi_n^rho(rho) + n_n(rho).  Noise is
 synthesized directly on a radial slot grid with the per-slot variance law
 sigma_i^2 = 2 pi N0 / (rho_i delta), which reproduces the variances of all
 linear statistics of the underlying white 2-D field while giving the energy
-detector a finite slot count M.  Three decision strategies are provided:
+detector a finite slot count M.  Three decision statistics are provided:
 
 * MF: correlate against the mode's own radial profile.
 * ID: integrate over a radial window after compensating the deterministic
@@ -15,9 +15,10 @@ detector a finite slot count M.  Three decision strategies are provided:
   (OOK signaling); the threshold can be optimized in closed form through
   the central/noncentral chi-square statistics of the slot model.
 
-Monte Carlo sweeps are chunked and seeded per chunk, so results are
-reproducible for a given master seed.  Both sweeps take (charge,
-:class:`DetectorConfig`) branches: :func:`ber_curves` over the link SNR,
+:data:`STRATEGIES` names the six receivers built from them.  Monte Carlo
+sweeps are chunked and seeded per chunk, so results are reproducible for a
+given master seed.  Both sweeps take (charge, strategy name) branches and
+one smart-window drop level: :func:`ber_curves` over the link SNR,
 :func:`tnr_curves` over the energy detector's threshold at a fixed SNR.
 They share one setup and one error-count loop.  The draw does not depend on
 the branch, so each chunk is drawn once and every branch is scored on it.
@@ -38,7 +39,7 @@ the CPU count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr, erfc
@@ -63,7 +64,17 @@ OOK_ONE_AMPLITUDE = math.sqrt(2.0)
 #: Default multiplexed charge set for link-level SNR bookkeeping.
 DEFAULT_MODE_SET = (0, 1, 2, 3, 4)
 
-_STRATEGIES = ("mf", "id", "ed")
+#: Receiver name -> (statistic, smart window, phase equalizer).  ED uses OOK,
+#: MF and ID use BPSK.  A smart window is the radial interval within the
+#: sweep's drop level of the mode's intensity peak, else the full aperture.
+STRATEGIES = {
+    "mf": ("mf", False, False),
+    "id": ("id", False, True),
+    "id_noeq": ("id", False, False),
+    "id_smart": ("id", True, True),
+    "ed_full": ("ed", False, False),
+    "ed_smart": ("ed", True, False),
+}
 
 
 def slot_grid(radius: float, slot: float | None = None, wavelength: float = 0.1):
@@ -102,6 +113,14 @@ def check_chunk_budget(radius: float, slot: float | None = None, wavelength: flo
             f"of noise for {count} slots; at most {max_slots} slots fit in the "
             f"{_CHUNK_BUDGET_BYTES / 1024**3:g} GiB chunk budget, so widen the slot"
         )
+
+
+def check_strategies(names) -> None:
+    """Raise ValueError naming every entry of ``names`` that is not a key of
+    :data:`STRATEGIES`."""
+    unknown = [name for name in names if name not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}; expected names from {sorted(STRATEGIES)}")
 
 
 @dataclass(frozen=True)
@@ -167,31 +186,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Receiver strategy and its knobs.
-
-    The strategy fixes the modulation: the energy detector ("ed") is
-    non-coherent and uses OOK, the coherent "mf" and "id" use BPSK.
-    ``smart`` restricts ID and ED to the radial window within ``drop_db``
-    of the mode's intensity peak, instead of the full aperture;
-    ``equalize`` closes ID's loop with a single-tap phase equalizer.
-    """
-
-    strategy: str
-    smart: bool = False
-    drop_db: float = 10.0
-    equalize: bool = True
-
-    def __post_init__(self) -> None:
-        strategy = self.strategy.lower()
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        object.__setattr__(self, "strategy", strategy)
-        if self.drop_db <= 0:
-            raise ValueError("window drop level must be positive dB")
-
-
-@dataclass(frozen=True)
 class BerCurve:
     """BER estimates over an SNR or TNR axis with binomial error bars."""
 
@@ -228,47 +222,6 @@ class BerCurve:
         ber = errors / trials
         ci95 = 1.96 * np.sqrt(ber * (1 - ber) / trials)
         return cls(axis_db=np.asarray(axis_db, float), ber=ber, trials=trials, ci95=ci95)
-
-
-def mf_statistic(y: np.ndarray, template: np.ndarray, radii: np.ndarray, delta: float) -> complex:
-    """Matched-filter correlation sum_i y_i template_i^* rho_i delta."""
-    y = np.asarray(y)
-    template = np.asarray(template)
-    radii = np.asarray(radii, dtype=float)
-    if y.shape[-1] != template.shape[-1] or template.shape[-1] != radii.shape[-1]:
-        raise ValueError("signal, template and grid lengths must match")
-    return (y * np.conj(template) * radii * delta).sum(axis=-1)
-
-
-def _check_window(window, radii):
-    window = np.asarray(window, dtype=bool)
-    radii = np.asarray(radii, dtype=float)
-    if window.shape != radii.shape:
-        raise ValueError("window mask and grid lengths must match")
-    if not window.any():
-        raise ValueError("integration window is empty")
-    return window, radii
-
-
-def id_statistic(
-    y: np.ndarray,
-    window: np.ndarray,
-    radii: np.ndarray,
-    delta: float,
-    compensation: np.ndarray | None = None,
-) -> complex:
-    """Windowed intensity integration sum_{i in w} y_i c_i^* rho_i delta.
-
-    The optional unit-modulus compensation c removes a known deterministic
-    phase (the propagation chirp) before integrating; it leaves the noise
-    variance of the statistic unchanged.
-    """
-    window, radii = _check_window(window, radii)
-    y = np.asarray(y)[..., window]
-    kernel = radii[window] * delta
-    if compensation is not None:
-        kernel = kernel * np.conj(np.asarray(compensation)[window])
-    return (y * kernel).sum(axis=-1)
 
 
 def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = 10.0):
@@ -410,8 +363,7 @@ def link_symbol_energy(
     allocation), so E_s is the sum of the per-mode received energies.  The
     link SNR is E_s/N0.
     """
-    symbol_energy, _ = _symbol_energy_and_fields(scenario, focused, mode_set)
-    return symbol_energy
+    return _symbol_energy_and_fields(scenario, focused, mode_set)[0]
 
 
 def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set):
@@ -424,89 +376,84 @@ def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set):
     return symbol_energy, dict(zip((int(m) for m in mode_set), fields))
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """Per-mode receive pipeline on the slot grid, shared by the sweeps.
+class _Scorer:
+    """Every branch's real decision statistic from one projection of the noise.
 
     For y = 2 pi s psi + n, a branch's statistic is its response to the
     noiseless symbol plus the projection n @ template:
 
     * MF: template conj(psi) rho delta; the statistic is s gain + n @ template.
     * ID: template mask conj(c) rho delta, times the equalizer phase
-      conj(g)/|g| when ``equalize`` is set; the statistic is as for MF.
+      conj(g)/|g| when the strategy equalizes; the statistic is as for MF.
     * ED: template mask conj(psi) rho delta, the cross term of
       |2 pi s psi + n|^2; the statistic is a^2 E_w + 2 a Re(n @ template)
       + sum_w |n|^2 rho delta with a = 2 pi s.
 
-    ``gain`` is the noiseless response to a unit symbol after equalization
-    (coherent branches only).
-    """
-
-    config: DetectorConfig
-    radii: np.ndarray
-    delta: float
-    psi: np.ndarray
-    mask: np.ndarray
-    compensation: np.ndarray
-    gain: complex = field(init=False)
-    template: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        weights = self.radii * self.delta
-        strategy = self.config.strategy
-        gain = 0.0
-        if strategy == "mf":
-            gain = 2 * np.pi * mf_statistic(self.psi, self.psi, self.radii, self.delta)
-            template = np.conj(self.psi) * weights
-        elif strategy == "id":
-            gain = 2 * np.pi * id_statistic(
-                self.psi, self.mask, self.radii, self.delta, self.compensation
-            )
-            template = np.where(self.mask, np.conj(self.compensation) * weights, 0)
-            if self.config.equalize:
-                if gain == 0:
-                    raise ValueError("degenerate window: zero integrated profile")
-                phase = np.conj(gain) / abs(gain)
-                gain, template = gain * phase, template * phase
-        else:
-            template = np.where(self.mask, np.conj(self.psi) * weights, 0)
-        object.__setattr__(self, "gain", complex(gain))
-        object.__setattr__(self, "template", template)
-
-    @property
-    def window_energy(self) -> float:
-        """Radial template energy over the active window."""
-        w = self.mask
-        return float((np.abs(self.psi[w]) ** 2 * self.radii[w] * self.delta).sum())
-
-
-class _Scorer:
-    """Every branch's real decision statistic from one projection of the noise.
-
-    On the interleaved (re, im) float view v of the noise, Re(n @ t) is
-    v @ [Re t, -Im t], so the templates of all branches stack into one real
+    The templates of all distinct charges come from one slot-grid radial
+    pass; a smart window reads its charge's default-grid field in
+    ``fields``.  ``gains`` are the coherent branches' responses to a unit
+    symbol after equalization, ``window_energies`` and ``slot_counts`` the
+    E_w and M of the ED windows.  On the interleaved (re, im) float view v
+    of the noise, Re(n @ t) is v @ [Re t, -Im t], the float view of
+    conj(t), so the templates of all branches stack into one real
     (branches x 2M) matrix; ED's noise energy is v^2 @ [w, w] for each
     distinct window w.  The products run through ``np.einsum`` on
     contiguous rows, which keeps them single-threaded whatever the BLAS
     thread count.
     """
 
-    def __init__(self, branches: list[_Branch]) -> None:
-        self.branches = branches
-        templates = np.stack([branch.template for branch in branches])
-        n_branches, n_slots = templates.shape
-        self.rows = np.empty((n_branches, 2 * n_slots))
-        self.rows[:, 0::2] = templates.real
-        self.rows[:, 1::2] = -templates.imag
-        is_ed = np.array([branch.config.strategy == "ed" for branch in branches])
-        self.coherent = np.flatnonzero(~is_ed)
-        self.gains = np.array([branches[b].gain.real for b in self.coherent])
-        self.ed = np.flatnonzero(is_ed)
-        self.window_energies = np.array([branches[b].window_energy for b in self.ed])
-        masks = np.array([branches[b].mask for b in self.ed]).reshape(len(self.ed), n_slots)
+    def __init__(self, scenario: Scenario, branches, focused: bool, radii, delta, fields, drop_db):
+        kappa, z = scenario.kappa, scenario.distance
+        compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
+        charges = list(dict.fromkeys(int(charge) for charge, _ in branches))
+        (on_slots,) = radial_fields(scenario, charges, (focused,), radii)
+        psis = dict(zip(charges, on_slots))
+        grid = default_radial_grid(scenario)
+        weights = radii * delta
+        templates, gains, energies, ed_masks = [], [], [], []
+        for charge, name in branches:
+            statistic, smart, equalize = STRATEGIES[name]
+            psi = psis[int(charge)]
+            mask = np.ones(len(radii), dtype=bool)
+            if smart:
+                mask = interval_mask(smart_window(grid, fields[int(charge)], drop_db), radii)
+                if not mask.any():
+                    raise ValueError("smart window narrower than the slot grid")
+            reference = compensation if statistic == "id" else psi
+            template = np.where(mask, np.conj(reference) * weights, 0)
+            if statistic == "mf":
+                gains.append(2 * np.pi * (psi * np.conj(psi) * radii * delta).sum())
+            elif statistic == "id":
+                kernel = radii[mask] * delta * np.conj(compensation[mask])
+                gain = 2 * np.pi * (psi[mask] * kernel).sum()
+                if equalize:
+                    if gain == 0:
+                        raise ValueError("degenerate window: zero integrated profile")
+                    phase = np.conj(gain) / abs(gain)
+                    gain, template = gain * phase, template * phase
+                gains.append(gain)
+            else:
+                ed_masks.append(mask)
+                energies.append((np.abs(psi[mask]) ** 2 * radii[mask] * delta).sum())
+            templates.append(template)
+        self.rows = np.conj(np.stack(templates)).view(float)
+        is_ed = np.array([STRATEGIES[name][0] == "ed" for _, name in branches])
+        self.coherent, self.ed = np.flatnonzero(~is_ed), np.flatnonzero(is_ed)
+        self.gains = np.array(gains, dtype=complex).real
+        self.window_energies = np.array(energies, dtype=float)
+        self.slot_counts = [int(mask.sum()) for mask in ed_masks]
+        masks = np.array(ed_masks).reshape(len(self.ed), len(radii))
         windows, self.window_of = np.unique(masks, axis=0, return_inverse=True)
-        weights = branches[0].radii * branches[0].delta
         self.windows = np.repeat(windows * weights, 2, axis=1)
+
+    def thresholds(self, n0: float) -> np.ndarray:
+        """Level each branch's statistic must reach to decide "1" at noise
+        level n0: 0 for the coherent branches, the closed-form optimum for
+        the energy detectors."""
+        zetas = np.zeros(len(self.rows))
+        for b, slots, energy in zip(self.ed, self.slot_counts, self.window_energies):
+            zetas[b], _ = optimize_threshold(n0, slots, energy)
+        return zetas
 
     def statistics(self, bits: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(count, branches) statistics of one draw.
@@ -515,8 +462,7 @@ class _Scorer:
         :meth:`NoiseModel.blocks` yields it.  Each row's statistics depend
         on that row alone, bitwise, so a chunk may be scored in blocks of
         rows.  A branch decides "1" where its statistic reaches its
-        threshold: 0 for the coherent branches, the ED threshold for the
-        energy detectors.
+        :meth:`thresholds`.
         """
         stats = np.einsum("nk,bk->nb", v, self.rows)
         if self.coherent.size:
@@ -529,58 +475,13 @@ class _Scorer:
         return stats
 
 
-def _make_branches(
-    scenario: Scenario,
-    branches,
-    focused: bool,
-    radii: np.ndarray,
-    delta: float,
-    fields: dict,
-) -> list[_Branch]:
-    """One _Branch per (charge, DetectorConfig) pair.
-
-    The slot-grid templates of all distinct charges come from one radial
-    pass, and each is shared by every branch of its charge.  A smart window
-    reads the default-grid field of its charge in ``fields``, which must
-    hold every smart branch's charge.
-    """
-    kappa = scenario.kappa
-    z = scenario.distance
-    compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
-    charges = list(dict.fromkeys(int(charge) for charge, _ in branches))
-    (on_slots,) = radial_fields(scenario, charges, (focused,), radii)
-    templates = dict(zip(charges, on_slots))
-    grid = default_radial_grid(scenario)
-    built = []
-    for charge, config in branches:
-        charge = int(charge)
-        if config.smart:
-            window = smart_window(grid, fields[charge], config.drop_db)
-            mask = interval_mask(window, radii)
-            if not mask.any():
-                raise ValueError("smart window narrower than the slot grid")
-        else:
-            mask = np.ones(len(radii), dtype=bool)
-        built.append(_Branch(config, radii, delta, templates[charge], mask, compensation))
-    return built
-
-
-def _decision_threshold(branch: _Branch, n0: float) -> float:
-    """Level a branch's statistic must reach to decide "1" at noise level n0:
-    0 for the coherent branches, the closed-form optimum for the energy
-    detector."""
-    if branch.config.strategy != "ed":
-        return 0.0
-    zeta, _ = optimize_threshold(n0, int(branch.mask.sum()), branch.window_energy)
-    return zeta
-
-
-def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_set, slot):
+def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_set, slot, drop_db):
     """Scorer of the branches, E_s of ``mode_set``, and the slot noise per SNR.
 
-    Checks the trial count and that every branch charge belongs to
-    ``mode_set``.  One radial pass gives E_s and the default-grid fields
-    that the smart windows read; a second gives the slot-grid templates.
+    Checks the trial count, the strategy names, the drop level and that
+    every branch charge belongs to ``mode_set``.  One radial pass gives E_s
+    and the default-grid fields that the smart windows read; a second gives
+    the slot-grid templates.
 
     Returns:
         (scorer, symbol_energy, noise_at): ``noise_at(snr_db)`` is the
@@ -588,13 +489,16 @@ def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
+    check_strategies([name for _, name in branches])
+    if not drop_db > 0:
+        raise ValueError("window drop level must be positive dB")
     members = {int(m) for m in mode_set}
     if any(int(charge) not in members for charge, _ in branches):
         raise ValueError("branch charge must belong to the multiplexed set")
     check_chunk_budget(scenario.radius_rx, slot, scenario.wavelength)
     radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
     symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
-    scorer = _Scorer(_make_branches(scenario, branches, focused, radii, delta, fields))
+    scorer = _Scorer(scenario, branches, focused, radii, delta, fields, drop_db)
 
     def noise_at(snr_db: float) -> NoiseModel:
         return NoiseModel(n0=symbol_energy / 10 ** (snr_db / 10), radii=radii, delta=delta)
@@ -646,6 +550,7 @@ def ber_curves(
     focused: bool = True,
     mode_set=DEFAULT_MODE_SET,
     slot: float | None = None,
+    drop_db: float = 10.0,
 ) -> tuple[list[BerCurve], float]:
     """Monte Carlo BER of several demultiplexed branches over one SNR sweep.
 
@@ -664,27 +569,28 @@ def ber_curves(
 
     Args:
         scenario: link geometry.
-        branches: (charge, DetectorConfig) pairs; every charge must belong
-            to ``mode_set``.
+        branches: (charge, strategy name) pairs, each name a key of
+            :data:`STRATEGIES`; every charge must belong to ``mode_set``.
         snr_db_list: link SNR axis in dB.
         trials: Monte Carlo symbols per point (>= MIN_TRIALS).
         seed: master seed; point and chunk streams are spawned from it.
         focused: transmit focusing of the whole mode set.
         mode_set: multiplexed charges defining E_s.
         slot: radial slot width override (default lambda/4).
+        drop_db: drop level of every smart window below its peak, in dB
+            (> 0).
 
     Returns:
         (curves, symbol_energy): one BerCurve over the SNR axis per branch,
         in branch order, and the E_s that the axis refers to.
     """
-    scorer, e_s, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot)
+    scorer, e_s, noise_at = _sweep_setup(
+        scenario, branches, trials, focused, mode_set, slot, drop_db
+    )
     snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
     models = [noise_at(snr) for snr in snr_db]
-    zetas = [
-        np.array([[_decision_threshold(branch, model.n0)] for branch in scorer.branches])
-        for model in models
-    ]
+    zetas = [scorer.thresholds(model.n0)[:, None] for model in models]
     errors = np.array(_count_errors(scorer, models, point_seeds, trials, zetas))[:, :, 0]
     counts = np.full(len(snr_db), trials)
     return [BerCurve.from_counts(snr_db, row, counts) for row in errors.T], e_s
@@ -700,6 +606,7 @@ def tnr_curves(
     focused: bool = True,
     mode_set=DEFAULT_MODE_SET,
     slot: float | None = None,
+    drop_db: float = 10.0,
 ) -> list[BerCurve]:
     """Monte Carlo energy-detector BER of several branches over a TNR sweep.
 
@@ -709,9 +616,9 @@ def tnr_curves(
     sampling noise, and each curve equals a one-branch run at the same seed.
 
     Args:
-        branches: (charge, DetectorConfig) pairs as for :func:`ber_curves`;
-            every config must be an energy detector ("ed"), and its
-            ``smart`` and ``drop_db`` select the window.
+        branches: (charge, strategy name) pairs as for :func:`ber_curves`;
+            every name must be an energy detector's ("ed_full" or
+            "ed_smart").
         snr_db: fixed link SNR in dB.
         tnr_db_list: threshold-to-noise axis in dB.
 
@@ -720,9 +627,9 @@ def tnr_curves(
     Returns:
         One BerCurve over the TNR axis per branch, in branch order.
     """
-    if any(config.strategy != "ed" for _, config in branches):
+    if any(STRATEGIES[name][0] != "ed" for _, name in branches if name in STRATEGIES):
         raise ValueError("a TNR sweep takes energy-detector branches only")
-    scorer, _, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot)
+    scorer, _, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot, drop_db)
     tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
     model = noise_at(snr_db)
     thresholds = model.n0 * 10 ** (tnr_db / 10)

@@ -13,13 +13,21 @@ Configs serialize to a flat ``key = value`` text format; see
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detect import MIN_TRIALS, DetectorConfig, ber_curves, check_chunk_budget, tnr_curves
+from .detect import (
+    MIN_TRIALS,
+    STRATEGIES,
+    ber_curves,
+    check_chunk_budget,
+    check_strategies,
+    tnr_curves,
+)
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
 from .modes import _MIN_SEPARATION_WAVELENGTHS as _MIN_SEPARATION
 from .modes import (
@@ -42,17 +50,6 @@ from .oam import (
 
 #: Geometry presets (normalized T, R) for the distance sweeps.
 PRESETS = {"equal": (10.0, 10.0), "downlink": (25.0, 5.0), "uplink": (5.0, 25.0)}
-
-#: Strategy names used in configs and file names, with their detector knobs.
-_STRATEGY_CONFIGS = {
-    "mf": dict(strategy="mf"),
-    "id": dict(strategy="id"),
-    "id_noeq": dict(strategy="id", equalize=False),
-    "id_smart": dict(strategy="id", smart=True),
-    "ed_full": dict(strategy="ed"),
-    "ed_smart": dict(strategy="ed", smart=True),
-}
-
 
 def _key(default, help: str, **cli):
     """Config field carrying its help text and CLI flag settings.
@@ -97,7 +94,7 @@ class ExperimentConfig:
     modes: tuple[int, ...] = _key((0, 1, 2, 3, 4), "comma-separated topological charges")
     strategies: tuple[str, ...] = _key(
         ("mf", "id", "id_smart", "ed_smart"),
-        f"comma-separated strategy names ({', '.join(sorted(_STRATEGY_CONFIGS))})",
+        f"comma-separated strategy names ({', '.join(sorted(STRATEGIES))})",
     )
     snr_db: tuple[float, ...] = _key(
         tuple(float(v) for v in range(0, 25, 2)), "comma-separated SNR axis in dB"
@@ -118,6 +115,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if self.preset not in (*PRESETS, "all"):
             raise ValueError(f"unknown preset {self.preset!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, tuple) and not value:
+                raise ValueError(f"{field.name} must not be empty")
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"{field.name} must be finite, got {_format_value(value)}")
         for name in ("wavelength", "T", "R", "D", "spacing", "slot", "drop_db"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -140,10 +144,6 @@ class ExperimentConfig:
             raise ValueError(f"n_modes must be at most {2 * MAX_ORDER + 1}")
         if self.resolution < 32:
             raise ValueError("resolution must be at least 32 samples per axis")
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, tuple) and not value:
-                raise ValueError(f"{field.name} must not be empty")
         if self.kind in ("ber", "tnr"):
             if self.slot > self.R:
                 raise ValueError("slot must be at most the receive radius R")
@@ -177,11 +177,9 @@ class ExperimentConfig:
                     f"distance {D:g} is under {_MIN_SEPARATION:g} wavelengths, "
                     "where the scalar Green kernel does not apply"
                 )
-        unknown = [name for name in self.strategies if name not in _STRATEGY_CONFIGS]
-        if unknown:
-            raise ValueError(
-                f"unknown strategies {unknown}; expected names from {sorted(_STRATEGY_CONFIGS)}"
-            )
+        check_strategies(self.strategies)
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies must not repeat a name, got {self.strategies}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes must not repeat a charge, got {self.modes}")
         if any(abs(charge) > MAX_ORDER for charge in self.modes):
@@ -268,7 +266,8 @@ def serialize_config(config: ExperimentConfig) -> str:
 def parse_config_keys(text: str) -> dict[str, str]:
     """Raw value text of each key of flat ``key = value`` text.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys raise.
+    Blank lines and ``#`` comments are ignored.  Unknown and repeated keys
+    raise.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -281,6 +280,8 @@ def parse_config_keys(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ValueError(f"line {lineno}: config key {key!r} is already set")
         raw[key] = value.strip()
     return raw
 
@@ -455,28 +456,20 @@ def run_path_gain(config: ExperimentConfig):
     return [_write_csv(path, {**keys, "eta": eta, "eta_db": 10 * np.log10(eta)}, config)]
 
 
-def detector_for(name: str, drop_db: float = 10.0) -> DetectorConfig:
-    """DetectorConfig for a strategy name used in configs and file names."""
-    if name not in _STRATEGY_CONFIGS:
-        raise ValueError(
-            f"unknown strategy {name!r}; expected one of {sorted(_STRATEGY_CONFIGS)}"
-        )
-    return DetectorConfig(drop_db=drop_db, **_STRATEGY_CONFIGS[name])
-
-
 def run_ber(config: ExperimentConfig):
     """Monte Carlo BER curves, one CSV per (charge, strategy), from one shared draw."""
     scenario = config.scenario()
     keys = [(charge, name) for charge in config.modes for name in config.strategies]
     curves, e_s = ber_curves(
         scenario,
-        [(charge, detector_for(name, config.drop_db)) for charge, name in keys],
+        keys,
         config.snr_db,
         trials=config.trials,
         seed=config.seed,
         focused=config.focused,
         mode_set=config.modes,
         slot=config.slot * config.wavelength,
+        drop_db=config.drop_db,
     )
     paths = []
     for (charge, name), curve in zip(keys, curves):
@@ -489,11 +482,7 @@ def run_ber(config: ExperimentConfig):
 def run_tnr(config: ExperimentConfig):
     """Energy-detector BER versus threshold-to-noise ratio at fixed SNR, from one shared draw."""
     scenario = config.scenario()
-    branches = [
-        (charge, DetectorConfig("ed", smart=smart, drop_db=config.drop_db))
-        for charge in config.modes
-        for smart in (False, True)
-    ]
+    branches = [(charge, name) for charge in config.modes for name in ("ed_full", "ed_smart")]
     curves = tnr_curves(
         scenario,
         branches,
@@ -504,12 +493,12 @@ def run_tnr(config: ExperimentConfig):
         focused=config.focused,
         mode_set=config.modes,
         slot=config.slot * config.wavelength,
+        drop_db=config.drop_db,
     )
     paths = []
-    for (charge, detector), curve in zip(branches, curves):
-        extra = {"charge": charge, "smart": detector.smart, "snr_db": config.tnr_snr_db}
-        suffix = "smart" if detector.smart else "full"
-        path = Path(config.out) / f"tnr_ed_l{charge}_{suffix}.csv"
+    for (charge, name), curve in zip(branches, curves):
+        extra = {"charge": charge, "smart": STRATEGIES[name][1], "snr_db": config.tnr_snr_db}
+        path = Path(config.out) / f"tnr_ed_l{charge}_{name.removeprefix('ed_')}.csv"
         paths.append(_write_csv(path, dataclasses.asdict(curve), config, extra))
     return paths
 

@@ -11,15 +11,15 @@ quantity the library computes another way:
   exact-distance kernel, for the Fresnel route;
 * :func:`demultiplex` -- angular correlation of a 2-D field, for the
   demultiplexed radial signal the receivers act on;
-* :func:`ed_statistic` -- the energy detector's statistic of one received
-  signal, for the projection scorer.
+* :func:`mf_statistic`, :func:`id_statistic` and :func:`ed_statistic` --
+  the matched-filter, integrate-and-dump and energy-detector statistics of
+  one received signal, for the projection scorer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from oamlis.detect import _check_window
 from oamlis.geometry import Scenario
 from oamlis.numerics import bessel_j, panels_for_step
 from oamlis.oam import QUADRATURE_STEP_FRACTION, tx_radial
@@ -150,6 +150,47 @@ def demultiplex(field, charge: int, radii: np.ndarray, angular_samples: int = 25
     values = field(radii[:, None], phi[None, :])
     weights = np.exp(-1j * charge * phi) * (2 * np.pi / angular_samples)
     return values @ weights
+
+
+def mf_statistic(y: np.ndarray, template: np.ndarray, radii: np.ndarray, delta: float) -> complex:
+    """Matched-filter correlation sum_i y_i template_i^* rho_i delta."""
+    y = np.asarray(y)
+    template = np.asarray(template)
+    radii = np.asarray(radii, dtype=float)
+    if y.shape[-1] != template.shape[-1] or template.shape[-1] != radii.shape[-1]:
+        raise ValueError("signal, template and grid lengths must match")
+    return (y * np.conj(template) * radii * delta).sum(axis=-1)
+
+
+def _check_window(window, radii):
+    window = np.asarray(window, dtype=bool)
+    radii = np.asarray(radii, dtype=float)
+    if window.shape != radii.shape:
+        raise ValueError("window mask and grid lengths must match")
+    if not window.any():
+        raise ValueError("integration window is empty")
+    return window, radii
+
+
+def id_statistic(
+    y: np.ndarray,
+    window: np.ndarray,
+    radii: np.ndarray,
+    delta: float,
+    compensation: np.ndarray | None = None,
+) -> complex:
+    """Windowed intensity integration sum_{i in w} y_i c_i^* rho_i delta.
+
+    The optional unit-modulus compensation c removes a known deterministic
+    phase (the propagation chirp) before integrating; it leaves the noise
+    variance of the statistic unchanged.
+    """
+    window, radii = _check_window(window, radii)
+    y = np.asarray(y)[..., window]
+    kernel = radii[window] * delta
+    if compensation is not None:
+        kernel = kernel * np.conj(np.asarray(compensation)[window])
+    return (y * kernel).sum(axis=-1)
 
 
 def ed_statistic(y: np.ndarray, window: np.ndarray, radii: np.ndarray, delta: float) -> float:

@@ -16,14 +16,11 @@ from scipy.optimize import brentq
 
 from oamlis import Scenario
 from oamlis.detect import (
-    DetectorConfig,
     NoiseModel,
     ber_curves,
     gaussian_ber,
-    id_statistic,
     interval_mask,
     link_symbol_energy,
-    mf_statistic,
     optimize_threshold,
     slot_grid,
     smart_window,
@@ -39,7 +36,7 @@ from oamlis.oam import (
     radial_fields,
     tx_radial,
 )
-from oracles import demultiplex, focused_fundamental_profile
+from oracles import demultiplex, focused_fundamental_profile, id_statistic, mf_statistic
 
 SVD_DISTANCES = (50.0, 100.0, 150.0, 200.0)
 SVD_BUDGET_SECONDS = 300.0
@@ -164,7 +161,7 @@ def test_criterion_07_matched_filter_ber():
         psi = radial_fields(scenario, [ell], (True,), radii)[0, 0]
         e_rad = float((np.abs(psi) ** 2 * radii * delta).sum())
         (curve,), _ = ber_curves(
-            scenario, [(ell, DetectorConfig("mf"))], snr_db, trials=trials, seed=ell + 1
+            scenario, [(ell, "mf")], snr_db, trials=trials, seed=ell + 1
         )
         for snr, measured in zip(snr_db, curve.ber):
             n0 = e_s / 10 ** (snr / 10)
@@ -248,7 +245,7 @@ def test_criterion_09_energy_detector_thresholds():
     (on_slots,) = radial_fields(scenario, range(5), (True,), radii)
 
     def ed_curve(ell, smart, seed):
-        branch = [(ell, DetectorConfig("ed", smart=smart))]
+        branch = [(ell, "ed_smart" if smart else "ed_full")]
         (curve,) = tnr_curves(scenario, branch, snr_db, tnr_db, trials=trials, seed=seed)
         return curve
 

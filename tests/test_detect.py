@@ -17,25 +17,22 @@ from oamlis.detect import (
     CHUNK_TRIALS,
     DEFAULT_MODE_SET,
     OOK_ONE_AMPLITUDE,
+    STRATEGIES,
     BerCurve,
-    DetectorConfig,
     NoiseModel,
     ber_curves,
     check_chunk_budget,
     ed_ber,
     gaussian_ber,
-    id_statistic,
     interval_mask,
     link_symbol_energy,
-    mf_statistic,
     optimize_threshold,
     slot_grid,
     smart_window,
     tnr_curves,
 )
-from oamlis.experiments import detector_for
 from oamlis.oam import default_radial_grid, mode_energies, radial_fields
-from oracles import demultiplex, ed_statistic
+from oracles import demultiplex, ed_statistic, id_statistic, mf_statistic
 
 
 def test_slot_grid_default_layout():
@@ -278,12 +275,21 @@ def test_smart_window_rejects_flat_zero_field():
         smart_window(grid, np.ones(63, dtype=complex))
 
 
-def test_detector_config_validation():
-    assert DetectorConfig("ED").strategy == "ed"
-    with pytest.raises(ValueError):
-        DetectorConfig("bogus")
-    with pytest.raises(ValueError):
-        DetectorConfig("id", drop_db=0.0)
+def test_sweeps_reject_unknown_names_and_nonpositive_drop_levels():
+    s = Scenario.normalized(10, 10, 100)
+    for sweep in (
+        lambda branches, **kw: ber_curves(s, branches, [6.0], 10_000, **kw),
+        lambda branches, **kw: tnr_curves(s, branches, 19.0, [25.0], 10_000, **kw),
+    ):
+        with pytest.raises(ValueError, match=r"unknown strategies \['ED', 'bogus'\]"):
+            sweep([(0, "ed_full"), (0, "ED"), (4, "bogus")])
+        # The drop level is checked even where no branch has a smart window.
+        for drop_db in (0.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="drop level must be positive"):
+                sweep([(0, "ed_full")], drop_db=drop_db)
+    for name in ("mf", "id", "id_noeq", "id_smart"):
+        with pytest.raises(ValueError, match="energy-detector branches only"):
+            tnr_curves(s, [(0, "ed_smart"), (0, name)], 19.0, [25.0], 10_000)
 
 
 def test_ber_curve_validation():
@@ -385,14 +391,14 @@ def test_link_symbol_energy_composition():
 def test_ber_monte_carlo_input_validation():
     s = Scenario.normalized(10, 10, 100)
     with pytest.raises(ValueError):
-        ber_curves(s, [(0, DetectorConfig("mf"))], [6.0], trials=500)
+        ber_curves(s, [(0, "mf")], [6.0], trials=500)
     with pytest.raises(ValueError):
-        ber_curves(s, [(7, DetectorConfig("mf"))], [6.0], trials=20_000)
+        ber_curves(s, [(7, "mf")], [6.0], trials=20_000)
 
 
 def test_ber_monte_carlo_is_deterministic():
     s = Scenario.normalized(10, 10, 100)
-    branch = [(1, DetectorConfig("mf"))]
+    branch = [(1, "mf")]
     first = ber_curves(s, branch, [4.0, 8.0], trials=10_000, seed=9)[0][0]
     second = ber_curves(s, branch, [4.0, 8.0], trials=10_000, seed=9)[0][0]
     assert np.array_equal(first.ber, second.ber)
@@ -404,7 +410,7 @@ def test_ber_monte_carlo_is_deterministic():
 def test_mf_monte_carlo_matches_closed_form():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
-    curve = ber_curves(s, [(0, DetectorConfig("mf"))], [7.0], trials=trials, seed=2)[0][0]
+    curve = ber_curves(s, [(0, "mf")], [7.0], trials=trials, seed=2)[0][0]
     radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
     psi = radial_fields(s, [0], (True,), radii)[0, 0]
     e_rad = (np.abs(psi) ** 2 * radii * delta).sum()
@@ -424,7 +430,7 @@ def test_ed_monte_carlo_matches_closed_form():
     zeta, expected = optimize_threshold(n0, len(radii), e_rad)
     # The energy detector at the fixed threshold zeta, as a one-point TNR sweep.
     tnr_db = 10 * math.log10(zeta / n0)
-    (curve,) = tnr_curves(s, [(0, DetectorConfig("ed"))], 12.0, [tnr_db], trials=trials, seed=4)
+    (curve,) = tnr_curves(s, [(0, "ed_full")], 12.0, [tnr_db], trials=trials, seed=4)
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(curve.ber[0] - expected) < 3 * sigma
 
@@ -435,9 +441,9 @@ def test_receiver_ordering_at_fixed_snr():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
     kwargs = dict(trials=trials, seed=6, focused=True)
-    mf = ber_curves(s, [(0, DetectorConfig("mf"))], [10.0], **kwargs)[0][0].ber[0]
-    smart = ber_curves(s, [(0, DetectorConfig("id", smart=True))], [10.0], **kwargs)[0][0].ber[0]
-    full = ber_curves(s, [(0, DetectorConfig("id"))], [10.0], **kwargs)[0][0].ber[0]
+    mf = ber_curves(s, [(0, "mf")], [10.0], **kwargs)[0][0].ber[0]
+    smart = ber_curves(s, [(0, "id_smart")], [10.0], **kwargs)[0][0].ber[0]
+    full = ber_curves(s, [(0, "id")], [10.0], **kwargs)[0][0].ber[0]
     assert mf <= smart + 0.01
     assert smart + 0.05 < full
 
@@ -445,7 +451,7 @@ def test_receiver_ordering_at_fixed_snr():
 def test_tnr_sweep_extremes_and_minimum():
     s = Scenario.normalized(10, 10, 100)
     trials = 20_000
-    branch = [(0, DetectorConfig("ed"))]
+    branch = [(0, "ed_full")]
     (curve,) = tnr_curves(s, branch, 19.0, [-60.0, 25.0, 80.0], trials=trials, seed=8)
     sigma = 3 * math.sqrt(0.25 / trials)
     assert abs(curve.ber[0] - 0.5) < sigma
@@ -458,34 +464,34 @@ def test_tnr_sweep_extremes_and_minimum():
 def test_tnr_sweep_requires_enough_trials():
     s = Scenario.normalized(10, 10, 100)
     with pytest.raises(ValueError):
-        tnr_curves(s, [(0, DetectorConfig("ed"))], 19.0, [25.0], trials=100)
+        tnr_curves(s, [(0, "ed_full")], 19.0, [25.0], trials=100)
 
 
 def test_ber_curves_match_one_branch_runs():
     s = Scenario.normalized(10, 10, 100)
     branches = [
-        (0, DetectorConfig("mf")),
-        (0, DetectorConfig("id", smart=True)),
-        (4, DetectorConfig("ed", smart=True)),
-        (4, DetectorConfig("id", equalize=False)),
-        (2, DetectorConfig("ed")),
+        (0, "mf"),
+        (0, "id_smart"),
+        (4, "ed_smart"),
+        (4, "id_noeq"),
+        (2, "ed_full"),
     ]
     kwargs = dict(trials=10_000, seed=3)
     curves, e_s = ber_curves(s, branches, [6.0, 12.0], **kwargs)
     assert e_s == link_symbol_energy(s, True)
     assert len(curves) == len(branches)
-    for (charge, config), curve in zip(branches, curves):
-        (single,), _ = ber_curves(s, [(charge, config)], [6.0, 12.0], **kwargs)
+    for branch, curve in zip(branches, curves):
+        (single,), _ = ber_curves(s, [branch], [6.0, 12.0], **kwargs)
         assert_array_equal(curve.ber, single.ber)
         assert_array_equal(curve.ci95, single.ci95)
     with pytest.raises(ValueError):
-        ber_curves(s, [(0, DetectorConfig("mf")), (7, DetectorConfig("mf"))], [6.0], trials=10_000)
+        ber_curves(s, [(0, "mf"), (7, "mf")], [6.0], trials=10_000)
 
 
 def test_tnr_curves_match_one_branch_runs():
     s = Scenario.normalized(10, 10, 100)
     branches = [
-        (ell, DetectorConfig("ed", smart=smart)) for ell in (0, 4) for smart in (False, True)
+        (ell, name) for ell in (0, 4) for name in ("ed_full", "ed_smart")
     ]
     tnr_db = [20.0, 25.0, 30.0]
     curves = tnr_curves(s, branches, 19.0, tnr_db, trials=10_000, seed=5)
@@ -493,9 +499,9 @@ def test_tnr_curves_match_one_branch_runs():
         (single,) = tnr_curves(s, [branch], 19.0, tnr_db, trials=10_000, seed=5)
         assert_array_equal(curve.ber, single.ber)
     with pytest.raises(ValueError, match="energy-detector"):
-        tnr_curves(s, [*branches, (0, DetectorConfig("mf"))], 19.0, tnr_db, trials=10_000)
+        tnr_curves(s, [*branches, (0, "mf")], 19.0, tnr_db, trials=10_000)
     with pytest.raises(ValueError, match="multiplexed set"):
-        tnr_curves(s, [(7, DetectorConfig("ed"))], 19.0, tnr_db, trials=10_000)
+        tnr_curves(s, [(7, "ed_full")], 19.0, tnr_db, trials=10_000)
 
 
 def _peak_bytes(call) -> int:
@@ -522,12 +528,12 @@ def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
 
     monkeypatch.setattr(oam, "radial_fields", spy)
     monkeypatch.setattr(detect, "radial_fields", spy)
-    smart = DetectorConfig("ed", smart=True)
+    smart = "ed_smart"
     mode_set = (0, -3, 4)
     slots = len(slot_grid(s.radius_rx, wavelength=s.wavelength)[0])
     sweeps = (
         lambda: ber_curves(s, [(ell, smart) for ell in mode_set], [8.0], 10_000, mode_set=mode_set),
-        lambda: ber_curves(s, [(4, DetectorConfig("mf"))], [8.0], 10_000, mode_set=mode_set),
+        lambda: ber_curves(s, [(4, "mf")], [8.0], 10_000, mode_set=mode_set),
         lambda: tnr_curves(s, [(0, smart), (-3, smart)], 8.0, [25.0], 10_000, mode_set=mode_set),
     )
     for sweep in sweeps:
@@ -536,44 +542,98 @@ def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
         assert radial_passes == [len(default_radial_grid(s)), slots]
 
 
-def _oracle_statistic(branch, bits, noise):
+def _six_receiver_scorer(s):
+    """The six strategies at charges 0 and 4 on the default slot grid: the
+    branches, the grid, E_s, the smart windows' fields and their scorer."""
+    pairs = [(charge, name) for charge in (0, 4) for name in STRATEGIES]
+    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
+    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
+    scorer = detect._Scorer(s, pairs, True, radii, delta, fields, 10.0)
+    return pairs, radii, delta, e_s, fields, scorer
+
+
+def _oracle_branches(s, pairs, radii, delta, fields):
+    """Per branch, its statistic, equalizer, slot-grid profile psi, window
+    mask and propagation-phase compensation c, from the public functions."""
+    (on_slots,) = radial_fields(s, (0, 4), (True,), radii)
+    psis = dict(zip((0, 4), on_slots))
+    grid = default_radial_grid(s)
+    kappa, z = s.kappa, s.distance
+    compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
+    for charge, name in pairs:
+        statistic, smart, equalize = STRATEGIES[name]
+        mask = np.ones(len(radii), dtype=bool)
+        if smart:
+            mask = interval_mask(smart_window(grid, fields[charge], 10.0), radii)
+        yield statistic, equalize, psis[charge], mask, compensation
+
+
+def _oracle_gain(statistic, equalize, psi, mask, compensation, radii, delta):
+    """A coherent branch's noiseless response to a unit symbol."""
+    if statistic == "mf":
+        return (2 * np.pi * mf_statistic(psi, psi, radii, delta)).real
+    gain = 2 * np.pi * id_statistic(psi, mask, radii, delta, compensation)
+    return (gain * (np.conj(gain) / abs(gain)) if equalize else gain).real
+
+
+def _oracle_statistic(statistic, equalize, psi, mask, compensation, radii, delta, bits, noise):
     """A branch's real decision statistic of y = 2 pi s psi + n, by the
-    public statistic functions on the synthesized signal."""
-    config = branch.config
-    args = (branch.radii, branch.delta)
-    if config.strategy == "ed":
-        y = 2 * np.pi * (bits * OOK_ONE_AMPLITUDE)[:, None] * branch.psi + noise
-        return ed_statistic(y, branch.mask, *args)
-    y = 2 * np.pi * (2.0 * bits - 1.0)[:, None] * branch.psi + noise
-    if config.strategy == "mf":
-        return mf_statistic(y, branch.psi, *args).real
-    stat = id_statistic(y, branch.mask, *args, branch.compensation)
-    if config.equalize:
-        gain = id_statistic(branch.psi, branch.mask, *args, branch.compensation)
+    oracle statistic functions on the synthesized signal."""
+    if statistic == "ed":
+        y = 2 * np.pi * (bits * OOK_ONE_AMPLITUDE)[:, None] * psi + noise
+        return ed_statistic(y, mask, radii, delta)
+    y = 2 * np.pi * (2.0 * bits - 1.0)[:, None] * psi + noise
+    if statistic == "mf":
+        return mf_statistic(y, psi, radii, delta).real
+    stat = id_statistic(y, mask, radii, delta, compensation)
+    if equalize:
+        gain = id_statistic(psi, mask, radii, delta, compensation)
         stat = stat * (np.conj(gain) / abs(gain))
     return stat.real
 
 
 def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     s = Scenario.normalized(10, 10, 100)
-    names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
-    pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
-    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
-    built = detect._make_branches(s, pairs, True, radii, delta, fields)
+    pairs, radii, delta, e_s, fields, scorer = _six_receiver_scorer(s)
     n0 = e_s / 10 ** (6.0 / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
     rng = np.random.default_rng(np.random.SeedSequence(3))
     bits = rng.integers(0, 2, 10_000)
     noise = model.sample(rng, 10_000)
-    stats = detect._Scorer(built).statistics(bits, noise.view(float))
-    for b, branch in enumerate(built):
-        oracle = _oracle_statistic(branch, bits, noise)
+    stats = scorer.statistics(bits, noise.view(float))
+    zetas = scorer.thresholds(n0)
+    branches = _oracle_branches(s, pairs, radii, delta, fields)
+    for b, branch in enumerate(branches):
+        oracle = _oracle_statistic(*branch, radii, delta, bits, noise)
         assert_allclose(stats[:, b], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
-        zeta = detect._decision_threshold(branch, n0)
-        errors = np.count_nonzero((stats[:, b] >= zeta) != (bits == 1))
-        assert errors == np.count_nonzero((oracle >= zeta) != (bits == 1))
+        errors = np.count_nonzero((stats[:, b] >= zetas[b]) != (bits == 1))
+        assert errors == np.count_nonzero((oracle >= zetas[b]) != (bits == 1))
         assert 0 < errors < len(bits) / 2
+
+
+def test_scorer_gains_windows_and_thresholds_are_bitwise_the_oracles():
+    # The coherent gains keep the oracle statistics' order of arithmetic,
+    # and an ED window's energy is the energy statistic of its noiseless
+    # profile, so every number the decisions use is bitwise the oracle's.
+    s = Scenario.normalized(10, 10, 100)
+    pairs, radii, delta, e_s, fields, scorer = _six_receiver_scorer(s)
+    gains, energies, slots = [], [], []
+    for statistic, equalize, psi, mask, compensation in _oracle_branches(
+        s, pairs, radii, delta, fields
+    ):
+        if statistic == "ed":
+            energies.append(ed_statistic(psi, mask, radii, delta))
+            slots.append(int(mask.sum()))
+        else:
+            gains.append(_oracle_gain(statistic, equalize, psi, mask, compensation, radii, delta))
+    assert_array_equal(scorer.gains.view(np.uint64), np.array(gains).view(np.uint64))
+    assert_array_equal(scorer.window_energies.view(np.uint64), np.array(energies).view(np.uint64))
+    assert scorer.slot_counts == slots
+    n0 = e_s / 10 ** (6.0 / 10)
+    zetas = scorer.thresholds(n0)
+    assert not zetas[scorer.coherent].any()
+    expected = [optimize_threshold(n0, m, energy)[0] for m, energy in zip(slots, energies)]
+    assert_array_equal(zetas[scorer.ed], expected)
 
 
 def test_ber_curves_peak_memory_does_not_grow_with_branches():
@@ -581,12 +641,7 @@ def test_ber_curves_peak_memory_does_not_grow_with_branches():
     # branch adds a column of statistics, not a signal array, so six
     # branches peak within one chunk's complex noise array of one branch.
     s = Scenario.normalized(10, 10, 100)
-    detectors = (
-        DetectorConfig("mf"),
-        DetectorConfig("id", smart=True),
-        DetectorConfig("ed", smart=True),
-    )
-    six = [(charge, config) for charge in (0, 4) for config in detectors]
+    six = [(charge, name) for charge in (0, 4) for name in ("mf", "id_smart", "ed_smart")]
 
     def sweep(branches):
         return lambda: ber_curves(s, branches, [8.0], trials=10_000, seed=1)
@@ -603,11 +658,7 @@ def test_scorer_on_row_blocks_equals_one_whole_chunk_call():
     # Each row's statistics depend on that row alone, bitwise, so a chunk
     # scored block by block gives the whole-chunk statistics.
     s = Scenario.normalized(10, 10, 100)
-    names = ("mf", "id", "id_noeq", "id_smart", "ed_full", "ed_smart")
-    pairs = [(charge, detector_for(name, 10.0)) for charge in (0, 4) for name in names]
-    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
-    scorer = detect._Scorer(detect._make_branches(s, pairs, True, radii, delta, fields))
+    _, radii, delta, e_s, _, scorer = _six_receiver_scorer(s)
     model = NoiseModel(n0=e_s / 4, radii=radii, delta=delta)
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, 5_000)
@@ -624,14 +675,16 @@ def _serial_bers(s, branches, snr_db, trials, point_seeds, tnr_db=None):
     chunk drawn whole (bits, real parts, imaginary parts) and scored in one
     call, on one thread: one row per branch over the SNR axis, or over the
     ``tnr_db`` axis at the one SNR point."""
-    scorer, _, noise_at = detect._sweep_setup(s, branches, trials, True, DEFAULT_MODE_SET, None)
+    scorer, _, noise_at = detect._sweep_setup(
+        s, branches, trials, True, DEFAULT_MODE_SET, None, 10.0
+    )
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
     errors = []
     for snr, point_seed in zip(snr_db, point_seeds, strict=True):
         model = noise_at(snr)
         if tnr_db is None:
-            zetas = np.array([[detect._decision_threshold(b, model.n0)] for b in scorer.branches])
+            zetas = scorer.thresholds(model.n0)[:, None]
         else:
             zetas = model.n0 * 10 ** (np.asarray(tnr_db) / 10)
         total = 0
@@ -651,8 +704,8 @@ def test_sweeps_bitwise_equal_on_any_worker_count(monkeypatch):
     # switch every microsecond: every curve equals the serial count of the
     # seed tree, and an error raised in a helper's unit still raises.
     s = Scenario.normalized(10, 10, 100)
-    branches = [(0, DetectorConfig("mf")), (4, DetectorConfig("ed", smart=True))]
-    ed = [(ell, DetectorConfig("ed", smart=smart)) for ell in (0, 4) for smart in (False, True)]
+    branches = [(0, "mf"), (4, "ed_smart")]
+    ed = [(ell, name) for ell in (0, 4) for name in ("ed_full", "ed_smart")]
     snr_db, tnr_db = [4.0, 8.0, 12.0], [24.0, 27.0, 30.0]
     trials = CHUNK_TRIALS + 5_000
     # ber spawns one seed per point from the master seed; tnr's one point
@@ -696,8 +749,7 @@ def test_monte_carlo_peak_memory_stays_below_one_complex_chunk(monkeypatch):
     # parts and statistics: one 25,000-trial chunk peaks below that chunk's
     # complex noise array, and two chunks in flight below twice that.
     s = Scenario.normalized(10, 10, 100)
-    detectors = (DetectorConfig("mf"), DetectorConfig("id", smart=True), DetectorConfig("ed"))
-    branches = [(charge, config) for charge in (0, 4) for config in detectors]
+    branches = [(charge, name) for charge in (0, 4) for name in ("mf", "id_smart", "ed_full")]
     radii, _ = slot_grid(s.radius_rx, wavelength=s.wavelength)
     noise_bytes = CHUNK_TRIALS * len(radii) * np.dtype(complex).itemsize
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import math
 import os
 import string
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import oamlis
 from oamlis import cli
-from oamlis.detect import CHUNK_TRIALS, NoiseModel, ber_curves
+from oamlis.detect import CHUNK_TRIALS, STRATEGIES, NoiseModel, ber_curves
 from oamlis.modes import disk_grid
 from oamlis.experiments import (
     KINDS,
@@ -26,7 +27,6 @@ from oamlis.experiments import (
     _format_value,
     apply_overrides,
     default_config,
-    detector_for,
     parse_config,
     run,
     run_path_gain,
@@ -219,14 +219,17 @@ def test_format_rows_rejects_ragged_columns():
         _format_rows([[1.0, 2.0], [1.0]])
 
 
-def test_detector_for_names():
-    assert detector_for("mf").strategy == "mf"
-    smart = detector_for("id_smart", drop_db=6.0)
-    assert smart.strategy == "id" and smart.smart and smart.drop_db == 6.0
-    assert detector_for("ed_full").strategy == "ed"
-    assert detector_for("id_noeq").equalize is False
-    with pytest.raises(ValueError):
-        detector_for("bogus")
+def test_strategy_names_come_from_the_detect_table():
+    # The six receivers are named once, in detect.STRATEGIES: a config takes
+    # exactly those names, each at most once, and its help lists them.
+    assert sorted(STRATEGIES) == ["ed_full", "ed_smart", "id", "id_noeq", "id_smart", "mf"]
+    assert default_config("ber", strategies=tuple(STRATEGIES)).strategies == tuple(STRATEGIES)
+    (field,) = [f for f in dataclasses.fields(ExperimentConfig) if f.name == "strategies"]
+    assert all(name in field.metadata["help"] for name in STRATEGIES)
+    with pytest.raises(ValueError, match=r"unknown strategies \['ed'\]"):
+        default_config("ber", strategies=("mf", "ed"))
+    with pytest.raises(ValueError, match="strategies must not repeat a name"):
+        default_config("ber", strategies=("mf", "id", "mf"))
 
 
 def test_run_spectrum_csv_contents(tmp_path):
@@ -410,6 +413,7 @@ def test_cli_rejects_unknown_strategy(tmp_path, capsys):
 BAD_BER_FLAGS = {
     ("--modes", "0", "--strategies", "mf,bogus"): "unknown strategies ['bogus']",
     ("--modes", "0,0", "--strategies", "mf"): "modes must not repeat a charge",
+    ("--modes", "0", "--strategies", "mf,mf"): "strategies must not repeat a name",
     ("--seed", "-1"): "seed must be non-negative",
     ("--modes", "0,65", "--strategies", "mf"): "modes must have |charge| <= 64",
     ("--trials", "500"): "trials must be at least 10000",
@@ -458,8 +462,10 @@ def test_cli_rejects_bad_spectrum_config_before_writing(tmp_path, capsys, flags)
         ("seed = -3\n", "seed must be non-negative"),
         (None, "cannot read config file {path}: No such file or directory"),
         ("n_modes = 131\n", "n_modes must be at most 129"),
+        ("T = 3\nseed = 1\n\nT = 5\n", "line 4: config key 'T' is already set"),
+        ("D = inf\n", "D must be finite, got inf"),
     ],
-    ids=["unknown-key", "negative-seed", "missing-file", "too-many-modes"],
+    ids=["unknown-key", "negative-seed", "missing-file", "too-many-modes", "repeated-key", "inf"],
 )
 def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, message):
     config = tmp_path / "bad.cfg"
@@ -476,8 +482,8 @@ def test_cli_rejects_bad_config_file_before_writing(tmp_path, capsys, text, mess
 
 
 #: Argument lists with an empty list, a slot wider than R, a lattice pitch,
-#: distance or lattice size that the lattice spectrum cannot take, with the
-#: reason.
+#: distance or lattice size that the lattice spectrum cannot take, or a NaN
+#: or infinite float (one per verb), with the reason.
 BAD_SHAPE_ARGV = {
     ("ber", "--modes="): "modes must not be empty",
     ("tnr", "--modes="): "modes must not be empty",
@@ -497,6 +503,15 @@ BAD_SHAPE_ARGV = {
     "increase the lattice pitch to at least 46.6 wavelengths",
     ("dof", "--preset", "downlink", "--spacing", "0.001"): "coupling blocks would need",
     ("pathgain", "--distances", "0"): "distances must be positive",
+    ("spectrum", "--threshold-db", "nan"): "threshold_db must be finite, got nan",
+    ("dof", "--distances", "50,inf"): "distances must be finite, got 50,inf",
+    ("pathgain", "--distances", "inf"): "distances must be finite, got inf",
+    ("ber", "--snr-db=nan", "--modes", "0", "--strategies", "mf"): "snr_db must be finite, got nan",
+    ("ber", "--snr-db=inf"): "snr_db must be finite, got inf",
+    ("tnr", "--snr", "nan"): "tnr_snr_db must be finite, got nan",
+    ("tnr", "--tnr-db=20,nan"): "tnr_db must be finite, got 20,nan",
+    ("profiles", "--lambda", "inf"): "wavelength must be finite, got inf",
+    ("profiles", "--D=-inf"): "D must be finite, got -inf",
 }
 
 
@@ -530,12 +545,13 @@ def test_run_ber_shares_one_draw_across_curves(tmp_path):
         meta, _, rows = read_csv(path)
         (alone,), _ = ber_curves(
             config.scenario(),
-            [(int(meta["charge"]), detector_for(meta["strategy"], config.drop_db))],
+            [(int(meta["charge"]), meta["strategy"])],
             config.snr_db,
             trials=config.trials,
             seed=config.seed,
             mode_set=config.modes,
             slot=config.slot * config.wavelength,
+            drop_db=config.drop_db,
         )
         expected = [
             [format(a, ".12g"), format(b, ".12g"), str(n), format(c, ".12g")]
@@ -612,6 +628,82 @@ def test_ber_and_tnr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs[threads] = _csv_bytes_without_out_line(out)
     assert len(outputs["1"]) == 30
     assert outputs["1"] == outputs["2"]
+
+
+_TWO_CHUNKS = f"--trials={CHUNK_TRIALS + 5_000}"
+_SIX_RECEIVERS = [
+    "ber", "--modes=-3,0,4", "--strategies=mf,id,id_noeq,id_smart,ed_full,ed_smart",
+    "--snr-db=4,10", _TWO_CHUNKS,
+]
+#: Receiver runs whose CSVs are pinned: every strategy name, negative, zero
+#: and positive charges, two chunks per point, focused and unfocused.
+PINNED_RECEIVER_RUNS = {
+    "focused": _SIX_RECEIVERS,
+    "unfocused": [*_SIX_RECEIVERS, "--unfocused"],
+    "tnr": ["tnr", "--modes=-3,4", _TWO_CHUNKS],
+}
+#: SHA-256 of each CSV of those runs without its ``# out`` line, by run and file.
+PINNED_RECEIVER_SHA256 = {
+    "focused": {
+        "ber_ed_full_l-3.csv": "864cb39bed4857b299a4336cbdeca7151f7d245a83ef61c3d8b9a381817579f8",
+        "ber_ed_full_l0.csv": "5053d51213f3b415f8f02e8c9144b8aac3f60718d441f8fafa4b4c34e5f2f634",
+        "ber_ed_full_l4.csv": "5ff925193e15e20f085b5e9c750e24c64ee1e128fb35cca104afcce702f3e9ab",
+        "ber_ed_smart_l-3.csv": "1338e02172471af4b6d5dd466e4c4193924b2266153dde052facf1994c10fa50",
+        "ber_ed_smart_l0.csv": "3884f8eed7eccfc0bc77d9c9e39fc191f348b2c0938b166f92dd4600599f0c43",
+        "ber_ed_smart_l4.csv": "56f1e5d38b4762b676c1689ab35ec8f322351a533b3b72fc34bb2c73d0b548d7",
+        "ber_id_l-3.csv": "20ae95827d29907ed9451afb2cf82aa4ed52b809cab91be0eb742962a0bac552",
+        "ber_id_l0.csv": "a0856ccdb51eeb264d7fe4405d9ee56bbb3de3b217d6a6c99a7117f746481af8",
+        "ber_id_l4.csv": "f367e7341ee0f46c7873d35a9e6b898adcff3eb6bf5d11e916d1abc56ab3b05e",
+        "ber_id_noeq_l-3.csv": "4cbd23f1924b5716c0cd6f51e8a4c657a12a8b5752e144d98d369bc851df5394",
+        "ber_id_noeq_l0.csv": "264cb1182f32d401d9cbe59c8467a886b1f74102fd18a34124054efd840d6193",
+        "ber_id_noeq_l4.csv": "995b05bde0bd8818fc4874492cf11a0b92150752e941c1e3475c4c08ee2add2b",
+        "ber_id_smart_l-3.csv": "24a93b844775b6c64e6880489c96a3300c38d283fbeb5f6c6214fb1b88bedb4c",
+        "ber_id_smart_l0.csv": "a86e641f908f7e1e0a99145ae0b9f19c143af1d032046781ca6fbca680be342c",
+        "ber_id_smart_l4.csv": "d22a1526f4d805c146f55d58b6a14d9531be3a5f21fdb41ddcce8a234dfa680b",
+        "ber_mf_l-3.csv": "ceb75a1075c8f71597e9486d2bc134ad130100f59c1ea6ff70763efa83199f55",
+        "ber_mf_l0.csv": "8ccf1b31d0b43f45cbff3132b84e4628117f3bcec8037c26d3a415eaaa709325",
+        "ber_mf_l4.csv": "ae715378df081482091c51d1f1879cefce19ba9807d1f910627b664c426dae9d",
+    },
+    "unfocused": {
+        "ber_ed_full_l-3.csv": "d0419c2c63967119f7e345bfbf134f4f9ea6d91b387d5868e90df6233a9e9cf4",
+        "ber_ed_full_l0.csv": "51065baa4489fdf288d633a9e4acc801c02ed0a781901ccefc19ff45d05997c8",
+        "ber_ed_full_l4.csv": "9cc89fcff73e2195fddd1698d95a7c503d35372b0fb10b923f0b1b10dd3c805c",
+        "ber_ed_smart_l-3.csv": "03a5238da4211711609cbba03b9d7b84d38f4e0876c6dc5bee328150f2cc1634",
+        "ber_ed_smart_l0.csv": "f3af3fd240ba2d1adccb22bd0ffe7b4d8aa8a49b9aabd22aabdf8c49685fa91d",
+        "ber_ed_smart_l4.csv": "1a696c7a48ccaec774d5cff7ecf5323603c54d53171d89ecc29a3ab6c47313eb",
+        "ber_id_l-3.csv": "cfe12293d6169694b5982f9a9a88e6d6b27fa6b3a10ca6c2f195dcfb7b344cc9",
+        "ber_id_l0.csv": "e64381e77e60f92d64d82aba68fa1d180a212e6dd564580082407703b178d0fd",
+        "ber_id_l4.csv": "5bb57c13be903428072508d72c941e7076c5350771326fa513642ee8db910843",
+        "ber_id_noeq_l-3.csv": "05982fd4b0dbc07263161948b80af6c975b867132ad23f6628877f1d818bfcdf",
+        "ber_id_noeq_l0.csv": "b5334282afdec670f8e31ae3363377930b8b7c0225dbf88349e3c34809954422",
+        "ber_id_noeq_l4.csv": "25824f6fd18a3788800e9691bb8c0c6b424a4f16e9653099c370a1292f5e8fc5",
+        "ber_id_smart_l-3.csv": "12418b0b09c60302214b984e0afdc4d2c2c2c74ae3fa2518d293ee3ce77d6e6d",
+        "ber_id_smart_l0.csv": "3519c86298b48384e9cb54858aabe7e2f5cac5ea88878e77f1cb8067f530a262",
+        "ber_id_smart_l4.csv": "6386cc7bd8e226ce802d0f1ff328f8ca05152c30dcb8122a907e09b65595bd67",
+        "ber_mf_l-3.csv": "c3cc91909d57cb24a855adfdfe189b24e9dabeb27d5a658a9e0e3286eba6797d",
+        "ber_mf_l0.csv": "351118be3e2f9678b03a040ace8e4f06b7b70463b72fdb864b7a5f91132b2300",
+        "ber_mf_l4.csv": "669ac40903bd2459a3e52d7fb688fc054b39d24f61eef079fe8a21ee917dfe98",
+    },
+    "tnr": {
+        "tnr_ed_l-3_full.csv": "dd7e9d066b314a05c06bf9dc3d002421146a62d9631dabb2ce25cd01b86cba14",
+        "tnr_ed_l-3_smart.csv": "c6d7f339ff86e781a37ab54d23e28403eb48394a8d591b241217ad751a0c6ed6",
+        "tnr_ed_l4_full.csv": "6ea9d80c81662530253892df791ed8656f482389519335a16a914e3dfb7e28ff",
+        "tnr_ed_l4_smart.csv": "b1b94e15ac3ba25a8fe0b686899b1128b659fd2a817b0cff7e1c7e90b2e18004",
+    },
+}
+
+
+def test_receiver_csv_bytes_are_pinned(tmp_path, capsys):
+    digests = {}
+    for run_name, argv in PINNED_RECEIVER_RUNS.items():
+        out = tmp_path / run_name
+        cli.main([*argv, "--out", str(out)])
+        digests[run_name] = {
+            name: hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+            for name, lines in _csv_bytes_without_out_line(out).items()
+        }
+    capsys.readouterr()
+    assert digests == PINNED_RECEIVER_SHA256
 
 
 def test_cli_import_leaves_scipy_stats_out():
