@@ -416,9 +416,10 @@ class _Scorer:
             psi = psis[int(charge)]
             mask = np.ones(len(radii), dtype=bool)
             if smart:
-                mask = interval_mask(smart_window(grid, fields[int(charge)], drop_db), radii)
-                if not mask.any():
-                    raise ValueError("smart window narrower than the slot grid")
+                lo, hi = smart_window(grid, fields[int(charge)], drop_db)
+                mask = interval_mask((lo, hi), radii)
+                if not mask.any():  # narrower than the slot grid: its slot nearest the center
+                    mask[np.abs(radii - (lo + hi) / 2).argmin()] = True
             reference = compensation if statistic == "id" else psi
             template = np.where(mask, np.conj(reference) * weights, 0)
             if statistic == "mf":

@@ -7,7 +7,8 @@ byte-identical files.  Every CSV starts with ``#``-prefixed metadata lines
 carrying the full resolved configuration, then a header row, then the data.
 
 Configs serialize to a flat ``key = value`` text format; see
-:func:`parse_config` / :func:`serialize_config`.
+:func:`parse_config` / :func:`serialize_config`.  A config is checked when
+it is made, each lattice link by :func:`~oamlis.modes.check_lattice`.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from .detect import (
     tnr_curves,
 )
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
-from .modes import _MIN_SEPARATION_WAVELENGTHS as _MIN_SEPARATION
-from .modes import (
-    check_matrix_budget,
-    count_modes,
-    holds_a_site,
-    kernel_applies,
-    svd_mode_spectrum,
-)
+from .modes import check_lattice, count_modes, svd_mode_spectrum
 from .numerics import MAX_ORDER
 from .oam import (
     FOCUS_STATES,
@@ -151,32 +145,9 @@ class ExperimentConfig:
             check_chunk_budget(self.R * wavelength, self.slot * wavelength, wavelength)
         if not all(distance > 0 for distance in self.distances):
             raise ValueError("distances must be positive")
-        # Each lattice spectrum's radii and distance, checked in the meters
-        # that disk_grid, the Green kernel and the assembly budget will see.
-        lattice_links = {
-            "spectrum": [(self.T, self.R, self.D)],
-            "dof_vs_distance": [
-                (T, R, D) for _, (T, R) in _preset_list(self) for D in self.distances
-            ],
-        }
-        spacing = self.spacing * self.wavelength
-        for T, R, D in lattice_links.get(self.kind, ()):
-            if not holds_a_site(min(T, R) * self.wavelength, spacing):
-                raise ValueError(
-                    f"spacing {self.spacing:g} leaves no lattice site in a disk of "
-                    f"radius {min(T, R):g}; it must be at most sqrt(2) times each radius"
-                )
-            try:
-                check_matrix_budget(
-                    T * self.wavelength, R * self.wavelength, spacing, self.wavelength
-                )
-            except MemoryError as err:
-                raise ValueError(str(err)) from None
-            if not kernel_applies(D * self.wavelength, 2 * np.pi / self.wavelength):
-                raise ValueError(
-                    f"distance {D:g} is under {_MIN_SEPARATION:g} wavelengths, "
-                    "where the scalar Green kernel does not apply"
-                )
+        lattice = self.kind in ("spectrum", "dof_vs_distance")
+        for _, T, R, D in _links(self) if lattice else ():
+            check_lattice(*(v * self.wavelength for v in (T, R, D, self.spacing)), self.wavelength)
         check_strategies(self.strategies)
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"strategies must not repeat a name, got {self.strategies}")
@@ -185,13 +156,17 @@ class ExperimentConfig:
         if any(abs(charge) > MAX_ORDER for charge in self.modes):
             raise ValueError(f"modes must have |charge| <= {MAX_ORDER}, got {self.modes}")
 
-    def scenario(self, T=None, R=None, D=None) -> Scenario:
-        return Scenario.normalized(
-            T if T is not None else self.T,
-            R if R is not None else self.R,
-            D if D is not None else self.D,
-            wavelength=self.wavelength,
-        )
+    def scenario(self) -> Scenario:
+        return Scenario.normalized(self.T, self.R, self.D, wavelength=self.wavelength)
+
+
+def _links(config: ExperimentConfig):
+    """(preset, T, R, D) of each link of the run: each configured preset at
+    every distance for the distance sweeps, else the one link, no preset."""
+    if config.kind not in ("dof_vs_distance", "path_gain"):
+        return [(None, config.T, config.R, config.D)]
+    presets = PRESETS if config.preset == "all" else [config.preset]
+    return [(preset, *PRESETS[preset], D) for preset in presets for D in config.distances]
 
 
 _KIND_DEFAULTS = {
@@ -403,12 +378,6 @@ def run_spectrum(config: ExperimentConfig):
     return [_write_csv(path, columns, config, extra)]
 
 
-def _preset_list(config: ExperimentConfig):
-    if config.preset == "all":
-        return list(PRESETS.items())
-    return [(config.preset, PRESETS[config.preset])]
-
-
 def _distance_sweep(config: ExperimentConfig, labels, evaluate):
     """Sweep the presets and distances; one row per scenario and label.
 
@@ -416,17 +385,14 @@ def _distance_sweep(config: ExperimentConfig, labels, evaluate):
     Returns the ``distance``, ``preset`` and ``label`` columns, and the
     values as one flat list in row order.
     """
-    sweep = [
-        (distance, preset, config.scenario(T=T, R=R, D=distance))
-        for preset, (T, R) in _preset_list(config)
-        for distance in config.distances
-    ]
+    links = _links(config)
     keys = {
-        "distance": np.repeat([distance for distance, _, _ in sweep], len(labels)),
-        "preset": np.repeat([preset for _, preset, _ in sweep], len(labels)),
-        "label": list(labels) * len(sweep),
+        "distance": np.repeat([D for *_, D in links], len(labels)),
+        "preset": np.repeat([preset for preset, *_ in links], len(labels)),
+        "label": list(labels) * len(links),
     }
-    return keys, [value for *_, scenario in sweep for value in evaluate(scenario)]
+    scenarios = (Scenario.normalized(*link, wavelength=config.wavelength) for _, *link in links)
+    return keys, [value for scenario in scenarios for value in evaluate(scenario)]
 
 
 def run_dof_vs_distance(config: ExperimentConfig):

@@ -12,6 +12,9 @@ weighted Green matrix is therefore block circulant over the four rotation
 copies of the first-quadrant sites; a 4-point DFT over the rotation index
 splits it into four blocks, and :func:`svd_mode_spectrum` returns the union
 of the four blocks' singular values, which are those of the full matrix.
+
+:func:`check_lattice` holds the rules that a lattice link must meet; the
+spectrum applies it before it builds any lattice, the config when it is made.
 """
 
 from __future__ import annotations
@@ -27,6 +30,50 @@ from .numerics import svd_spectrum
 _MIN_SEPARATION_WAVELENGTHS = 0.01
 #: Upper bound on the coupling-block array assembled in one piece.
 _MATRIX_BUDGET_BYTES = 2 * 1024**3
+
+
+def check_lattice(
+    radius_tx: float, radius_rx: float, distance: float, spacing: float, wavelength: float
+):
+    """Raise ValueError unless both disk lattices (lengths in meters) hold a
+    site, the disks are at least lambda/100 apart, where the scalar Green
+    kernel applies, and the coupling blocks fit the assembly budget."""
+    radius = min(radius_tx, radius_rx)
+    if not _holds_a_site(radius, spacing):
+        raise ValueError(
+            f"spacing {spacing / wavelength:g} leaves no lattice site in a disk of "
+            f"radius {radius / wavelength:g}; it must be at most sqrt(2) times each radius"
+        )
+    # Site counts estimated by disk area (a lattice holds a little more: 316
+    # sites against 314.2 at a 5-wavelength radius and lambda/2 pitch); the
+    # largest array is the complex (N_r/4) x N_t receive-quadrant coupling.
+    n_t = np.pi * radius_tx**2 / spacing**2
+    n_r = np.pi * radius_rx**2 / spacing**2
+    required = 16 * n_t * n_r / 4
+    if required > _MATRIX_BUDGET_BYTES:
+        factor = (required / _MATRIX_BUDGET_BYTES) ** 0.25
+        raise ValueError(
+            f"coupling blocks would need {required / 1024**3:.1f} GiB; increase the "
+            f"lattice pitch to at least {spacing * factor / wavelength:.3g} wavelengths"
+        )
+    if not _kernel_applies(distance, 2 * np.pi / wavelength):
+        raise ValueError(
+            f"distance {distance / wavelength:g} is under {_MIN_SEPARATION_WAVELENGTHS:g} "
+            "wavelengths, where the scalar Green kernel does not apply"
+        )
+
+
+def _holds_a_site(radius: float, spacing: float) -> bool:
+    """Whether :func:`disk_grid`'s clip keeps its site nearest the center,
+    (spacing/2, spacing/2), by the clip's own float64 operations (an
+    array's ``**2`` is a product): a pitch of at most sqrt(2) * radius."""
+    first = np.float64(0.5) * spacing
+    return bool(first * first + first * first <= radius**2)
+
+
+def _kernel_applies(separation: float, kappa: float) -> bool:
+    """Whether planes ``separation`` meters apart pass the lambda/100 guard."""
+    return separation >= _MIN_SEPARATION_WAVELENGTHS * (2 * np.pi / kappa)
 
 
 def disk_grid(radius: float, spacing: float):
@@ -49,7 +96,7 @@ def disk_grid(radius: float, spacing: float):
     """
     if radius <= 0 or spacing <= 0:
         raise ValueError("radius and spacing must be positive")
-    if not holds_a_site(radius, spacing):
+    if not _holds_a_site(radius, spacing):
         raise ValueError("spacing too coarse: no lattice site falls inside the disk")
     coords = (np.arange(int(radius / spacing) + 1) + 0.5) * spacing
     xx, yy = np.meshgrid(coords, coords)
@@ -57,20 +104,6 @@ def disk_grid(radius: float, spacing: float):
     x, y = xx[inside], yy[inside]
     turns = [np.column_stack(turn) for turn in ((x, y), (-y, x), (-x, -y), (y, -x))]
     return np.concatenate(turns), np.pi * radius**2 / (4 * len(x))
-
-
-def holds_a_site(radius: float, spacing: float) -> bool:
-    """Whether :func:`disk_grid`'s clip keeps its site nearest the center,
-    (spacing/2, spacing/2), by the clip's own float64 operations (an
-    array's ``**2`` is a product): a pitch of at most sqrt(2) * radius."""
-    first = np.float64(0.5) * spacing
-    return bool(first * first + first * first <= radius**2)
-
-
-def kernel_applies(separation: float, kappa: float) -> bool:
-    """Whether two planes ``separation`` meters apart pass the lambda/100
-    guard of the scalar Green kernel."""
-    return separation >= _MIN_SEPARATION_WAVELENGTHS * (2 * np.pi / kappa)
 
 
 def coupling_matrix(grid_t, grid_r, kappa: float, separation: float) -> np.ndarray:
@@ -91,21 +124,12 @@ def coupling_matrix(grid_t, grid_r, kappa: float, separation: float) -> np.ndarr
         Complex matrix of shape (len(points_r), len(points_t)).
     """
     (points_t, weight_t), (points_r, weight_r) = grid_t, grid_r
-    return _green_matrix(points_r, points_t, kappa, separation) * np.sqrt(weight_r * weight_t)
-
-
-def _green_matrix(points_r, points_t, kappa: float, separation: float) -> np.ndarray:
-    """Unweighted Green function between two transverse point sets."""
-    if separation <= 0:
-        raise ValueError("separation must be positive")
-    if not kernel_applies(separation, kappa):
-        raise ValueError(
-            "grids closer than lambda/100: scalar Green kernel not applicable"
-        )
+    if not _kernel_applies(separation, kappa):
+        raise ValueError("grids closer than lambda/100: scalar Green kernel not applicable")
     dx = points_r[:, 0][:, None] - points_t[:, 0][None, :]
     dy = points_r[:, 1][:, None] - points_t[:, 1][None, :]
     dist = np.sqrt(dx**2 + dy**2 + separation**2)
-    return np.exp(-1j * kappa * dist) / (4 * np.pi * dist)
+    return np.exp(-1j * kappa * dist) / (4 * np.pi * dist) * np.sqrt(weight_r * weight_t)
 
 
 def count_modes(db, threshold_db: float) -> int:
@@ -145,38 +169,17 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
         Descending singular values.
 
     Raises:
-        MemoryError: if the (N_r/4) x N_t coupling array would exceed
-            the assembly budget.
+        ValueError: if :func:`check_lattice` rejects the link.
     """
     if spacing is None:
         spacing = scenario.wavelength / 2
-    check_matrix_budget(scenario.radius_tx, scenario.radius_rx, spacing, scenario.wavelength)
-    sites_t, weight_t = disk_grid(scenario.radius_tx, spacing)
+    check_lattice(
+        scenario.radius_tx, scenario.radius_rx, scenario.distance, spacing, scenario.wavelength
+    )
+    grid_t = disk_grid(scenario.radius_tx, spacing)
     sites_r, weight_r = disk_grid(scenario.radius_rx, spacing)
     quadrant_r = sites_r[: len(sites_r) // 4]
-    couplings = np.sqrt(weight_r * weight_t) * _green_matrix(
-        quadrant_r, sites_t, scenario.kappa, scenario.distance
-    ).reshape(len(quadrant_r), 4, -1)
-    blocks = np.fft.fft(couplings, axis=1)
+    couplings = coupling_matrix(grid_t, (quadrant_r, weight_r), scenario.kappa, scenario.distance)
+    blocks = np.fft.fft(couplings.reshape(len(quadrant_r), 4, -1), axis=1)
     values = np.concatenate([svd_spectrum(blocks[:, m, :]) for m in range(4)])
     return np.sort(values)[::-1]
-
-
-def check_matrix_budget(radius_tx: float, radius_rx: float, spacing: float, wavelength: float):
-    """Raise MemoryError, naming a pitch that fits, when the coupling blocks
-    of two disk lattices (all lengths in meters) would exceed the assembly
-    budget."""
-    # Site count of each disk lattice, estimated by its area; the lattice
-    # holds a little more (316 sites against 314.2 at a 5-wavelength radius
-    # and lambda/2 pitch).  The largest array is the complex (N_r/4) x N_t
-    # coupling of the receive quadrant.
-    n_t = np.pi * radius_tx**2 / spacing**2
-    n_r = np.pi * radius_rx**2 / spacing**2
-    required = 16 * n_t * n_r / 4
-    if required > _MATRIX_BUDGET_BYTES:
-        factor = (required / _MATRIX_BUDGET_BYTES) ** 0.25
-        suggestion = spacing * factor / wavelength
-        raise MemoryError(
-            f"coupling blocks would need {required / 1024**3:.1f} GiB; "
-            f"increase the lattice pitch to at least {suggestion:.3g} wavelengths"
-        )

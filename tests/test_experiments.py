@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oamlis
-from oamlis import cli
+from oamlis import cli, detect
 from oamlis.detect import CHUNK_TRIALS, STRATEGIES, NoiseModel, ber_curves
 from oamlis.modes import disk_grid
 from oamlis.experiments import (
@@ -704,6 +704,77 @@ def test_receiver_csv_bytes_are_pinned(tmp_path, capsys):
         }
     capsys.readouterr()
     assert digests == PINNED_RECEIVER_SHA256
+
+
+#: Lattice-SVD and path-gain runs whose CSVs are pinned, and the SHA-256 of
+#: each CSV without its ``# out`` line.
+PINNED_LINK_RUNS = {
+    "spectrum": ["spectrum", "--T=4", "--R=4", "--D=30", "--max-charge=3", "--n-values=20"],
+    "dof": ["dof", "--preset=downlink", "--distances=60,120", "--max-charge=5"],
+    "pathgain": ["pathgain", "--distances=100,500", "--n-modes=11"],
+}
+PINNED_LINK_SHA256 = {
+    "spectrum": {
+        "spectrum.csv": "6a5c334b2f6156f6db6ec7293cc3e50504e7df75a162c885cfa76dba69f8075f",
+    },
+    "dof": {
+        "dof_vs_distance.csv": "92e5be9a3238b802923ddcce25413a6867c7f477d03547f81b8b353ba3b0e73e",
+    },
+    "pathgain": {
+        "path_gain.csv": "8100a13ea579358633f920258b9d65794856b64a0799b82389c3370473865c2c",
+    },
+}
+
+
+def test_link_csv_bytes_are_pinned(tmp_path, capsys):
+    digests = {}
+    for run_name, argv in PINNED_LINK_RUNS.items():
+        out = tmp_path / run_name
+        cli.main([*argv, "--out", str(out)])
+        digests[run_name] = {
+            name: hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+            for name, lines in _csv_bytes_without_out_line(out).items()
+        }
+    capsys.readouterr()
+    assert digests == PINNED_LINK_SHA256
+
+
+#: Receiver runs whose smart window at a 0.001 dB drop falls between two
+#: slot midpoints, with the index of that window's branch and the CSVs.
+NARROW_WINDOW_RUNS = {
+    "ber": (
+        ["ber", "--drop-db=0.001", "--strategies=id_smart", "--modes=0"],
+        0,
+        ["ber_id_smart_l0.csv"],
+    ),
+    "tnr": (
+        ["tnr", "--drop-db=0.001", "--modes=4"],
+        1,
+        ["tnr_ed_l4_full.csv", "tnr_ed_l4_smart.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", list(NARROW_WINDOW_RUNS))
+def test_window_narrower_than_the_slot_grid_keeps_one_slot(tmp_path, capsys, monkeypatch, verb):
+    argv, branch, names = NARROW_WINDOW_RUNS[verb]
+    scorers = []
+
+    class Recorded(detect._Scorer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scorers.append(self)
+
+    monkeypatch.setattr(detect, "_Scorer", Recorded)
+    assert cli.main([*argv, "--trials=10000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (scorer,) = scorers
+    # The branch's template, in (re, im) pairs per slot, is non-zero on its window alone.
+    assert np.count_nonzero(scorer.rows[branch].reshape(-1, 2).any(axis=1)) == 1
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == names
+    for name in names:
+        _, header, rows = read_csv(tmp_path / name)
+        assert header[0] == "axis_db" and rows
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -1,5 +1,7 @@
 """Tests for surface discretization, the coupling operator and mode counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -202,5 +204,48 @@ def test_svd_mode_spectrum_rejects_oversized_lattice(monkeypatch):
         raise AssertionError("lattice built before the budget check")
 
     monkeypatch.setattr(modes, "disk_grid", no_lattice)
-    with pytest.raises(MemoryError, match="pitch"):
+    with pytest.raises(ValueError, match="pitch"):
         svd_mode_spectrum(Scenario.normalized(4000, 4000, 30000))
+
+
+_NEAR_CONTACT = "is under 0.01 wavelengths, where the scalar Green kernel does not apply"
+#: Lattice links (T, R, D, pitch in wavelengths), each with the message that
+#: the config and the spectrum both reject it with, or None where both take it.
+LATTICE_LINKS = {
+    "coarse-pitch": (
+        (3.0, 3.0, 20.0, 4.25),
+        "spacing 4.25 leaves no lattice site in a disk of radius 3; "
+        "it must be at most sqrt(2) times each radius",
+    ),
+    "near-contact": ((1.0, 1.0, 0.001, 0.5), f"distance 0.001 {_NEAR_CONTACT}"),
+    "oversized": (
+        (4000.0, 4000.0, 30000.0, 0.5),
+        "coupling blocks would need 150598211.7 GiB; "
+        "increase the lattice pitch to at least 46.6 wavelengths",
+    ),
+    "lambda/100": ((1.0, 1.0, 0.01, 0.5), None),
+    "under-lambda/100": (
+        (1.0, 1.0, float(np.nextafter(0.01, 0)), 0.5),
+        f"distance 0.01 {_NEAR_CONTACT}",
+    ),
+}
+
+
+def _rejection(call):
+    """The ValueError message of ``call()``, or None if it returns."""
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("name", list(LATTICE_LINKS))
+def test_config_and_spectrum_apply_one_statement_of_the_lattice_rules(name):
+    (T, R, D, pitch), message = LATTICE_LINKS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the paraxial warning of D < R
+        scenario = Scenario.normalized(T, R, D)
+    from_config = _rejection(lambda: default_config("spectrum", T=T, R=R, D=D, spacing=pitch))
+    from_spectrum = _rejection(lambda: svd_mode_spectrum(scenario, pitch * scenario.wavelength))
+    assert from_config == from_spectrum == message
