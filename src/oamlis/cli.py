@@ -6,8 +6,11 @@ key, but the verb fixes the kind.  Every run prints the paths of the files
 it wrote.
 
 Each flag is one :class:`~oamlis.experiments.ExperimentConfig` field: its
-help text, spelling and value parser all come from the field.  A verb
-exposes only the flags its runner reads.
+help text, spelling and value parser all come from the field.  The verbs
+come from the one table of experiment kinds,
+:data:`~oamlis.experiments.EXPERIMENTS`: each row gives a verb, its help
+line and the fields its runner reads, which are its flags.  A new verb is
+one row there; this module names no verb or kind.
 """
 
 from __future__ import annotations
@@ -21,43 +24,6 @@ from . import experiments
 
 #: Flags every verb takes, after ``--config``.
 _COMMON = ("out", "wavelength")
-#: Link geometry of the one-scenario verbs, and the Monte Carlo knobs.
-_GEOMETRY = ("T", "R", "D")
-_MONTE_CARLO = ("trials", "seed")
-
-#: Verb -> (experiment kind, help line, config fields exposed as flags).
-VERBS = {
-    "spectrum": (
-        "spectrum",
-        "coupling intensities of SVD and OAM modes for one geometry",
-        (*_GEOMETRY, "threshold_db", "spacing", "max_charge", "n_values"),
-    ),
-    "dof": (
-        "dof_vs_distance",
-        "well-coupled mode counts versus link distance",
-        ("preset", "distances", "threshold_db", "spacing", "max_charge"),
-    ),
-    "pathgain": (
-        "path_gain",
-        "received-over-transmitted energy versus link distance",
-        ("preset", "distances", "n_modes"),
-    ),
-    "ber": (
-        "ber",
-        "Monte Carlo BER versus SNR for the receiver strategies",
-        (*_GEOMETRY, "modes", "snr_db", "strategies", "drop_db", "slot", "focused", *_MONTE_CARLO),
-    ),
-    "tnr": (
-        "tnr",
-        "energy-detector BER versus decision threshold at fixed SNR",
-        (*_GEOMETRY, "modes", "tnr_snr_db", "tnr_db", "drop_db", "slot", "focused", *_MONTE_CARLO),
-    ),
-    "profiles": (
-        "profiles",
-        "aperture phase/amplitude maps and radial field cuts",
-        (*_GEOMETRY, "modes", "resolution"),
-    ),
-}
 
 
 def _add_field(parser: argparse.ArgumentParser, field: dataclasses.Field) -> None:
@@ -84,16 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
     fields = {field.name: field for field in dataclasses.fields(experiments.ExperimentConfig)}
-    for verb, (_, help_line, names) in VERBS.items():
-        p = sub.add_parser(verb, help=help_line)
+    for kind, experiment in experiments.EXPERIMENTS.items():
+        p = sub.add_parser(experiment.verb, help=experiment.help)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        for name in (*_COMMON, *names):
+        for name in (*_COMMON, *experiment.fields):
             _add_field(p, fields[name])
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
-    kind = VERBS[args.verb][0]
     settings = {}
     if args.config:
         try:
@@ -101,14 +67,13 @@ def _build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
         except OSError as err:
             raise ValueError(f"cannot read config file {args.config}: {err.strerror}") from err
         settings = experiments.parse_config_keys(text)
-    # The verb fixes the kind, so its defaults are the base whatever the file says.
-    settings["kind"] = kind
+    # The verb sets ``args.kind``, so its defaults are the base whatever the file says.
     settings.update(
         (key, value)
         for key, value in vars(args).items()
         if key not in ("verb", "config") and value is not None
     )
-    return experiments.apply_overrides(experiments.default_config(kind), **settings)
+    return experiments.apply_overrides(experiments.default_config(args.kind), **settings)
 
 
 def main(argv=None) -> int:

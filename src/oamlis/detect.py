@@ -96,7 +96,7 @@ def _slot_count(radius: float, slot: float | None, wavelength: float) -> int:
     """Slot count M of :func:`slot_grid`."""
     if slot is None:
         slot = SLOT_WAVELENGTH_FRACTION * wavelength
-    if slot <= 0 or slot > radius:
+    if not 0 < slot <= radius:
         raise ValueError("slot width must be positive and at most the radius")
     return math.ceil(radius / slot)
 
@@ -137,12 +137,12 @@ class NoiseModel:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.n0 <= 0:
+        if not self.n0 > 0:
             raise ValueError("noise spectral density must be positive")
         r = np.asarray(self.radii, dtype=float)
-        if r.ndim != 1 or len(r) == 0 or r[0] <= 0 or np.any(np.diff(r) <= 0):
+        if r.ndim != 1 or len(r) == 0 or not r[0] > 0 or not np.all(np.diff(r) > 0):
             raise ValueError("slot radii must be positive and strictly increasing")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("slot width must be positive")
         object.__setattr__(self, "radii", r)
 
@@ -239,7 +239,7 @@ def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = 10.0):
     Returns:
         (rho_lo, rho_hi) in meters.
     """
-    if drop_db <= 0:
+    if not drop_db > 0:
         raise ValueError("drop level must be positive dB")
     radii = np.asarray(radii, dtype=float)
     magnitude = np.abs(np.asarray(field))
@@ -277,7 +277,7 @@ def gaussian_ber(gain: float, variance: float) -> float:
     Returns:
         Q(gain / sqrt(variance/2)).
     """
-    if variance <= 0:
+    if not variance > 0:
         raise ValueError("variance must be positive")
     return 0.5 * erfc(gain / math.sqrt(variance))
 
@@ -305,7 +305,7 @@ def ed_ber(
         window_energy: E_w, radial template energy over the window.
         amplitude: transmitted "1" amplitude.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     dof = 2 * n_slots
     nc = 4 * np.pi * amplitude**2 * window_energy / n0
@@ -507,6 +507,14 @@ def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_
     return scorer, symbol_energy, noise_at
 
 
+def _db_axis(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; raises unless every entry is finite."""
+    axis = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{name} must be finite, got {axis.tolist()}")
+    return axis
+
+
 def _count_errors(scorer: _Scorer, models, point_seeds, trials: int, thresholds) -> list:
     """Per point, the (branches, levels) bit error counts over ``trials`` symbols.
 
@@ -585,10 +593,10 @@ def ber_curves(
         (curves, symbol_energy): one BerCurve over the SNR axis per branch,
         in branch order, and the E_s that the axis refers to.
     """
+    snr_db = _db_axis(snr_db_list, "SNR axis")
     scorer, e_s, noise_at = _sweep_setup(
         scenario, branches, trials, focused, mode_set, slot, drop_db
     )
-    snr_db = np.atleast_1d(np.asarray(snr_db_list, dtype=float))
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
     models = [noise_at(snr) for snr in snr_db]
     zetas = [scorer.thresholds(model.n0)[:, None] for model in models]
@@ -630,8 +638,9 @@ def tnr_curves(
     """
     if any(STRATEGIES[name][0] != "ed" for _, name in branches if name in STRATEGIES):
         raise ValueError("a TNR sweep takes energy-detector branches only")
+    _db_axis(snr_db, "SNR")
+    tnr_db = _db_axis(tnr_db_list, "TNR axis")
     scorer, _, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot, drop_db)
-    tnr_db = np.atleast_1d(np.asarray(tnr_db_list, dtype=float))
     model = noise_at(snr_db)
     thresholds = model.n0 * 10 ** (tnr_db / 10)
     seeds = [np.random.SeedSequence(seed)]

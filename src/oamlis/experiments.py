@@ -6,6 +6,10 @@ paths.  Output is deterministic: a given config and seed produce
 byte-identical files.  Every CSV starts with ``#``-prefixed metadata lines
 carrying the full resolved configuration, then a header row, then the data.
 
+:data:`EXPERIMENTS` is the one table of experiment kinds.  A row gives the
+kind's CLI verb, help line, runner, the config fields the runner reads (the
+verb's flags) and default overrides; a new verb is one row.
+
 Configs serialize to a flat ``key = value`` text format; see
 :func:`parse_config` / :func:`serialize_config`.  A config is checked when
 it is made, each lattice link by :func:`~oamlis.modes.check_lattice`.
@@ -22,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .detect import (
+    DEFAULT_MODE_SET,
     MIN_TRIALS,
+    SLOT_WAVELENGTH_FRACTION,
     STRATEGIES,
     ber_curves,
     check_chunk_budget,
@@ -81,11 +87,11 @@ class ExperimentConfig:
     preset: str = _key("all", "geometry preset", choices=(*PRESETS, "all"))
     threshold_db: float = _key(-5.0, "mode-count threshold in dB (energy scale, <= 0)")
     spacing: float = _key(0.5, "lattice pitch in wavelengths")
-    slot: float = _key(0.25, "noise slot width in wavelengths")
+    slot: float = _key(SLOT_WAVELENGTH_FRACTION, "noise slot width in wavelengths")
     max_charge: int = _key(15, "largest |charge| to evaluate")
     n_values: int = _key(60, "singular values kept in the CSV")
     n_modes: int = _key(51, "superposed mode count (odd)")
-    modes: tuple[int, ...] = _key((0, 1, 2, 3, 4), "comma-separated topological charges")
+    modes: tuple[int, ...] = _key(DEFAULT_MODE_SET, "comma-separated topological charges")
     strategies: tuple[str, ...] = _key(
         ("mf", "id", "id_smart", "ed_smart"),
         f"comma-separated strategy names ({', '.join(sorted(STRATEGIES))})",
@@ -105,12 +111,19 @@ class ExperimentConfig:
     out: str = _key("results", "output directory for CSV files", metavar="DIR")
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind not in EXPERIMENTS:
+            kinds = tuple(EXPERIMENTS)
+            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {kinds}")
+        reads = EXPERIMENTS[self.kind].fields
         if self.preset not in (*PRESETS, "all"):
             raise ValueError(f"unknown preset {self.preset!r}")
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            if isinstance(field.default, tuple) and not isinstance(value, tuple):
+                # A list or an array is kept as a tuple of Python scalars, so
+                # it is checked, hashed and serialized as the parsed value is.
+                value = tuple(np.asarray(value).tolist())
+                object.__setattr__(self, field.name, value)
             if isinstance(value, tuple) and not value:
                 raise ValueError(f"{field.name} must not be empty")
             values = value if isinstance(value, tuple) else (value,)
@@ -138,15 +151,14 @@ class ExperimentConfig:
             raise ValueError(f"n_modes must be at most {2 * MAX_ORDER + 1}")
         if self.resolution < 32:
             raise ValueError("resolution must be at least 32 samples per axis")
-        if self.kind in ("ber", "tnr"):
+        if "slot" in reads:
             if self.slot > self.R:
                 raise ValueError("slot must be at most the receive radius R")
             wavelength = self.wavelength
             check_chunk_budget(self.R * wavelength, self.slot * wavelength, wavelength)
         if not all(distance > 0 for distance in self.distances):
             raise ValueError("distances must be positive")
-        lattice = self.kind in ("spectrum", "dof_vs_distance")
-        for _, T, R, D in _links(self) if lattice else ():
+        for _, T, R, D in _links(self) if "spacing" in reads else ():
             check_lattice(*(v * self.wavelength for v in (T, R, D, self.spacing)), self.wavelength)
         check_strategies(self.strategies)
         if len(set(self.strategies)) != len(self.strategies):
@@ -162,29 +174,17 @@ class ExperimentConfig:
 
 def _links(config: ExperimentConfig):
     """(preset, T, R, D) of each link of the run: each configured preset at
-    every distance for the distance sweeps, else the one link, no preset."""
-    if config.kind not in ("dof_vs_distance", "path_gain"):
+    every distance if the kind reads ``distances``, else the one link."""
+    if "distances" not in EXPERIMENTS[config.kind].fields:
         return [(None, config.T, config.R, config.D)]
     presets = PRESETS if config.preset == "all" else [config.preset]
     return [(preset, *PRESETS[preset], D) for preset in presets for D in config.distances]
 
 
-_KIND_DEFAULTS = {
-    "spectrum": {},
-    "dof_vs_distance": {"max_charge": 40},
-    "path_gain": {"distances": tuple(50.0 + 25.0 * k for k in range(19))},
-    "ber": {"D": 100.0},
-    "tnr": {"D": 100.0},
-    "profiles": {"T": 5.0, "R": 5.0, "D": 20.0, "modes": (0, 1, 3)},
-}
-
-
 def default_config(kind: str, **overrides) -> ExperimentConfig:
     """Config pre-filled with the kind's canonical scenario."""
-    fields = {"kind": kind}
-    fields.update(_KIND_DEFAULTS.get(kind, {}))
-    fields.update(overrides)
-    return ExperimentConfig(**fields)
+    defaults = EXPERIMENTS[kind].defaults if kind in EXPERIMENTS else {}
+    return ExperimentConfig(**{"kind": kind, **defaults, **overrides})
 
 
 def _format_value(value) -> str:
@@ -268,7 +268,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     kind's defaults instead.  See :func:`parse_config_keys` for the format.
     """
     raw = parse_config_keys(text)
-    kind = raw.get("kind", base.kind if base is not None else "spectrum")
+    kind = raw.get("kind", base.kind if base is not None else ExperimentConfig.kind)
     config = base if base is not None and base.kind == kind else default_config(kind)
     return apply_overrides(config, **raw)
 
@@ -507,16 +507,58 @@ def run_profiles(config: ExperimentConfig):
     return paths
 
 
-RUNNERS = {
-    "spectrum": run_spectrum,
-    "dof_vs_distance": run_dof_vs_distance,
-    "path_gain": run_path_gain,
-    "ber": run_ber,
-    "tnr": run_tnr,
-    "profiles": run_profiles,
+class Experiment(typing.NamedTuple):
+    """One experiment kind: its CLI verb and help line, its runner, the
+    config fields the runner reads besides ``out`` and ``wavelength`` (the
+    verb's flags, in order) and the kind's default overrides.  The config
+    applies the lattice rules to a kind that reads ``spacing`` and the slot
+    rules to one that reads ``slot``; a kind that reads ``distances`` sweeps
+    the presets over them."""
+
+    verb: str
+    help: str
+    runner: typing.Callable
+    fields: tuple[str, ...]
+    defaults: dict
+
+
+_GEOMETRY = ("T", "R", "D")
+_MONTE_CARLO = ("trials", "seed")
+
+#: Experiment kind -> :class:`Experiment`, the one definition of each kind.
+EXPERIMENTS = {
+    "spectrum": Experiment(
+        "spectrum", "coupling intensities of SVD and OAM modes for one geometry", run_spectrum,
+        (*_GEOMETRY, "threshold_db", "spacing", "max_charge", "n_values"), {},
+    ),
+    "dof_vs_distance": Experiment(
+        "dof", "well-coupled mode counts versus link distance", run_dof_vs_distance,
+        ("preset", "distances", "threshold_db", "spacing", "max_charge"), {"max_charge": 40},
+    ),
+    "path_gain": Experiment(
+        "pathgain", "received-over-transmitted energy versus link distance", run_path_gain,
+        ("preset", "distances", "n_modes"),
+        {"distances": tuple(50.0 + 25.0 * k for k in range(19))},
+    ),
+    "ber": Experiment(
+        "ber", "Monte Carlo BER versus SNR for the receiver strategies", run_ber,
+        (*_GEOMETRY, "modes", "snr_db", "strategies", "drop_db", "slot", "focused", *_MONTE_CARLO),
+        {"D": 100.0},
+    ),
+    "tnr": Experiment(
+        "tnr", "energy-detector BER versus decision threshold at fixed SNR", run_tnr,
+        (*_GEOMETRY, "modes", "tnr_snr_db", "tnr_db", "drop_db", "slot", "focused", *_MONTE_CARLO),
+        {"D": 100.0},
+    ),
+    "profiles": Experiment(
+        "profiles", "aperture phase/amplitude maps and radial field cuts", run_profiles,
+        (*_GEOMETRY, "modes", "resolution"), {"T": 5.0, "R": 5.0, "D": 20.0, "modes": (0, 1, 3)},
+    ),
 }
 
-KINDS = tuple(RUNNERS)
+#: Kind -> runner.  :func:`run` dispatches through this dict of plain functions
+#: because perfbench's tracer wraps functions held by module attributes and dicts.
+RUNNERS = {kind: experiment.runner for kind, experiment in EXPERIMENTS.items()}
 
 
 def run(config: ExperimentConfig):

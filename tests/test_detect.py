@@ -57,6 +57,8 @@ def test_slot_grid_validation():
         slot_grid(1.0, slot=0.0)
     with pytest.raises(ValueError):
         slot_grid(1.0, slot=2.0)
+    with pytest.raises(ValueError, match="slot width"):
+        slot_grid(1.0, slot=math.nan)
 
 
 def test_noise_model_variance_law():
@@ -85,6 +87,13 @@ def test_noise_model_validation():
         NoiseModel(n0=1.0, radii=np.array([0.0, 0.5]), delta=delta)
     with pytest.raises(ValueError):
         NoiseModel(n0=1.0, radii=radii, delta=0.0)
+    # NaN fails every `> 0` guard.
+    with pytest.raises(ValueError, match="spectral density"):
+        NoiseModel(n0=math.nan, radii=radii, delta=delta)
+    with pytest.raises(ValueError, match="slot width"):
+        NoiseModel(n0=1.0, radii=radii, delta=math.nan)
+    with pytest.raises(ValueError, match="slot radii"):
+        NoiseModel(n0=1.0, radii=np.array([math.nan, 0.5]), delta=delta)
 
 
 def test_noise_model_sample_statistics():
@@ -275,6 +284,13 @@ def test_smart_window_rejects_flat_zero_field():
         smart_window(grid, np.ones(63, dtype=complex))
 
 
+def test_smart_window_rejects_nonpositive_and_nan_drop_levels():
+    grid = np.linspace(0, 1.0, 64)
+    for drop_db in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="drop level must be positive"):
+            smart_window(grid, np.ones(64), drop_db)
+
+
 def test_sweeps_reject_unknown_names_and_nonpositive_drop_levels():
     s = Scenario.normalized(10, 10, 100)
     for sweep in (
@@ -290,6 +306,17 @@ def test_sweeps_reject_unknown_names_and_nonpositive_drop_levels():
     for name in ("mf", "id", "id_noeq", "id_smart"):
         with pytest.raises(ValueError, match="energy-detector branches only"):
             tnr_curves(s, [(0, "ed_smart"), (0, name)], 19.0, [25.0], 10_000)
+
+
+def test_sweeps_reject_non_finite_snr_and_tnr():
+    s = Scenario.normalized(10, 10, 100)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="SNR axis must be finite"):
+            ber_curves(s, [(0, "mf")], [value, 10.0], 10_000)
+        with pytest.raises(ValueError, match="TNR axis must be finite"):
+            tnr_curves(s, [(0, "ed_full")], 19.0, [value, 20.0], 10_000)
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            tnr_curves(s, [(0, "ed_full")], value, [20.0], 10_000)
 
 
 def test_ber_curve_validation():
@@ -314,6 +341,8 @@ def test_gaussian_ber_reference_values():
     assert gaussian_ber(0.0, 1.0) == 0.5
     with pytest.raises(ValueError):
         gaussian_ber(1.0, 0.0)
+    with pytest.raises(ValueError):
+        gaussian_ber(1.0, math.nan)
 
 
 def test_ed_ber_limits():
@@ -323,6 +352,8 @@ def test_ed_ber_limits():
     assert best < 0.5
     with pytest.raises(ValueError):
         ed_ber(-1.0, 0.1, 20, 1.0)
+    with pytest.raises(ValueError):
+        ed_ber(math.nan, 0.1, 20, 1.0)
 
 
 def _ed_ber_oracle(threshold, n0, n_slots, window_energy, amplitude=OOK_ONE_AMPLITUDE):

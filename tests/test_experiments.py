@@ -21,7 +21,7 @@ from oamlis import cli, detect
 from oamlis.detect import CHUNK_TRIALS, STRATEGIES, NoiseModel, ber_curves
 from oamlis.modes import disk_grid
 from oamlis.experiments import (
-    KINDS,
+    EXPERIMENTS,
     ExperimentConfig,
     _format_rows,
     _format_value,
@@ -52,7 +52,7 @@ def read_csv(path):
 
 
 def test_config_round_trip_all_kinds():
-    for kind in KINDS:
+    for kind in EXPERIMENTS:
         config = default_config(kind)
         assert parse_config(serialize_config(config)) == config
         assert serialize_config(parse_config(serialize_config(config))) == serialize_config(config)
@@ -68,11 +68,30 @@ def test_kind_defaults():
     gains = default_config("path_gain")
     assert gains.distances[0] == 50.0 and gains.distances[1] == 75.0
     assert default_config("ber", trials=20_000).trials == 20_000
+    # A kind's default overrides name only fields that its runner reads.
+    for kind, experiment in EXPERIMENTS.items():
+        assert set(experiment.defaults) <= set(experiment.fields), kind
+
+
+def test_tuple_fields_take_lists_and_arrays():
+    config = default_config("ber", modes=[0, 4], snr_db=np.array([0.0, 2.0]), strategies=["mf"])
+    expected = default_config("ber", modes=(0, 4), snr_db=(0.0, 2.0), strategies=("mf",))
+    assert config == expected and hash(config) == hash(expected)
+    assert [type(charge) for charge in config.modes] == [int, int]
+    assert serialize_config(config) == serialize_config(expected)
+    assert parse_config(serialize_config(config)) == config
+    # The list and array values get the empty and finite checks too.
+    with pytest.raises(ValueError, match="snr_db must be finite, got 0,nan"):
+        default_config("ber", modes=[0, 4], snr_db=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="modes must not be empty"):
+        default_config("ber", modes=[])
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="nope")
+    with pytest.raises(ValueError, match="unknown experiment kind 'nope'"):
+        default_config("nope")
     with pytest.raises(ValueError):
         ExperimentConfig(preset="sideways")
     with pytest.raises(ValueError):
@@ -392,6 +411,32 @@ def test_cli_forces_verb_kind(tmp_path):
     assert meta["kind"] == "spectrum"
     assert meta["D"] == "50"
     assert meta["modes"] == "0,1,2,3,4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["profiles", "--resolution", "32"], ["pathgain", "--preset", "equal", "--distances", "500"]],
+)
+def test_kinds_that_read_neither_slot_nor_spacing_skip_their_rules(tmp_path, argv):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("slot = 0.0001\nspacing = 100\n")
+    assert cli.main([*argv, "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        ("spectrum", "spacing 100 leaves no lattice site in a disk of radius 10"),
+        ("ber", "one Monte Carlo chunk would need 18.6 GiB of noise for 100000 slots"),
+    ],
+)
+def test_kinds_that_read_spacing_or_slot_apply_their_rules(tmp_path, capsys, verb, message):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("slot = 0.0001\nspacing = 100\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"oamlis: error: {verb}: {message}" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_strategy(tmp_path, capsys):
