@@ -127,7 +127,7 @@ class ExperimentConfig:
             if isinstance(value, tuple) and not value:
                 raise ValueError(f"{field.name} must not be empty")
             values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{field.name} must be finite, got {_format_value(value)}")
         for name in ("wavelength", "T", "R", "D", "spacing", "slot", "drop_db"):
             if not getattr(self, name) > 0:
@@ -314,14 +314,35 @@ def _format_rows(columns) -> str:
     return (row * n_rows) % tuple(cells)
 
 
-def _write_csv(path: Path, columns: dict, config: ExperimentConfig, extra: dict | None = None):
+def _format_map(axis, values) -> str:
+    """Data rows of a square map on ``axis``, each row ending in a newline.
+
+    Row ``j*n + i`` holds (x_i, y_j, values[j, i]), with x and y both on
+    ``axis``: the rows of :func:`_format_rows` on the ``np.meshgrid``
+    columns.  Each axis value is formatted once, as itself; its text is
+    baked into one x-row block per y, and only the value cells are
+    rendered, through the same ``%.12g``, by a single ``%``.
+    """
+    coords = [_CELL_FORMATS["f"] % x for x in np.asarray(axis).tolist()]
+    tails = [f",{y},{_CELL_FORMATS['f']}\n" for y in coords]
+    template = "".join(tail.join(coords) + tail for tail in tails)
+    return template % tuple(np.ravel(values).tolist())
+
+
+def _write_csv(
+    path: Path, columns, config: ExperimentConfig, extra: dict | None = None, rows=None
+):
     """Write metadata lines, the header of ``columns`` and their data rows.
 
-    ``columns`` maps each header name to that column's values.
+    ``columns`` maps each header name to that column's values, rendered by
+    :func:`_format_rows`.  A caller that renders its own ``rows`` text passes
+    the header names alone.
     """
     lines = _metadata_lines(config, extra)
     lines.append(",".join(columns))
-    text = "\n".join(lines) + "\n" + _format_rows(columns.values())
+    if rows is None:
+        rows = _format_rows(columns.values())
+    text = "\n".join(lines) + "\n" + rows
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="ascii")
     return path
@@ -486,12 +507,10 @@ def run_profiles(config: ExperimentConfig):
             suffix = f"l{charge}_{'focused' if focused else 'unfocused'}"
             maps = profile_maps(charge, scenario, focused, samples, config.resolution)
             for key, axis in (("tx_phase", "x_tx"), ("rx_amplitude", "x_rx"), ("rx_phase", "x_rx")):
-                # Row j*n + i holds (x_i, y_j, values[j, i]): x runs fastest.
-                x, y = np.meshgrid(maps[axis], maps[axis])
-                columns = {"x": x.ravel(), "y": y.ravel(), "value": maps[key].ravel()}
+                rows = _format_map(maps[axis], maps[key])
                 path = Path(config.out) / f"profile_{suffix}_{key}.csv"
                 extra = {"charge": charge, "focused": focused, "grid": key}
-                paths.append(_write_csv(path, columns, config, extra))
+                paths.append(_write_csv(path, ("x", "y", "value"), config, extra, rows))
             columns = {
                 "radius": grid,
                 "re": samples.real,

@@ -145,8 +145,8 @@ def count_modes(db, threshold_db: float) -> int:
     Returns:
         Integer count.
     """
-    if threshold_db > 0:
-        raise ValueError("threshold_db must be <= 0")
+    if not threshold_db <= 0:
+        raise ValueError(f"threshold_db must be <= 0, got {threshold_db}")
     return int(np.sum(np.asarray(db) >= threshold_db))
 
 

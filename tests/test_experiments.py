@@ -8,6 +8,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from oamlis.modes import disk_grid
 from oamlis.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _format_map,
     _format_rows,
     _format_value,
     apply_overrides,
@@ -127,6 +129,13 @@ def test_config_validation():
     assert len(points) == 4
     with pytest.raises(ValueError, match="no lattice site"):
         dataclasses.replace(inside, spacing=4.25)
+
+
+def test_config_rejects_non_finite_numpy_scalars():
+    # np.float32 is no float subclass; the finite check must still see it.
+    for overrides in ({"threshold_db": np.float32("nan")}, {"D": np.float32("inf")}):
+        with pytest.raises(ValueError, match="must be finite"):
+            default_config("spectrum", **overrides)
 
 
 def test_parse_config_overrides_and_comments():
@@ -236,6 +245,44 @@ def test_format_rows_matches_per_cell_rendering(columns):
 def test_format_rows_rejects_ragged_columns():
     with pytest.raises(ValueError):
         _format_rows([[1.0, 2.0], [1.0]])
+
+
+@st.composite
+def square_maps(draw):
+    """An axis of 1 to 40 floats and a square value array on it, drawn from
+    the axis, the edge-case floats and a few more (NaN among them)."""
+    n = draw(st.integers(1, 40))
+    axis = draw(st.lists(FLOAT_CELLS, min_size=n, max_size=n))
+    pool = np.array([*axis, *SPECIAL_FLOATS, *draw(st.lists(FLOAT_CELLS, max_size=20))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(axis), rng.choice(pool, size=(n, n))
+
+
+@given(square_maps())
+@example((np.array(SPECIAL_FLOATS), np.full((11, 11), math.nan)))
+@example((np.array([-0.0, 0.0, -0.0]), np.array([[0.0, -0.0, math.nan]] * 3)))
+def test_format_map_equals_the_rows_of_the_meshgrid_table(axis_and_values):
+    axis, values = axis_and_values
+    x, y = np.meshgrid(axis, axis)
+    assert _format_map(axis, values) == _format_rows([x.ravel(), y.ravel(), values.ravel()])
+
+
+def test_format_map_peak_memory_stays_below_four_times_its_text():
+    # One 151 x 151 map, as the maps benchmark renders it.  Formatting every
+    # cell of meshgrid coordinate columns peaks at about 5x the text, and
+    # coordinate columns of numpy strings at about 10x.
+    axis = np.linspace(-0.5, 0.5, 151)
+    x, y = np.meshgrid(axis, axis)
+    values = np.random.default_rng(0).uniform(-np.pi, np.pi, x.shape)
+    values[np.hypot(x, y) > 0.5] = np.nan
+    tracemalloc.start()
+    try:
+        text = _format_map(axis, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 151 * 151
+    assert peak < 4 * len(text)
 
 
 def test_strategy_names_come_from_the_detect_table():
@@ -656,6 +703,20 @@ def _csv_bytes_without_out_line(directory: Path) -> dict:
     }
 
 
+def _run_digests(tmp_path, runs) -> dict:
+    """SHA-256 of each CSV, without its ``# out`` line, by run and file, of
+    each CLI run of ``runs``."""
+    digests = {}
+    for run_name, argv in runs.items():
+        out = tmp_path / run_name
+        cli.main([*argv, "--out", str(out)])
+        digests[run_name] = {
+            name: hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+            for name, lines in _csv_bytes_without_out_line(out).items()
+        }
+    return digests
+
+
 def test_ber_and_tnr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The scoring products avoid threaded BLAS, so no reduction order, and
     # hence no decision near a threshold, can change with the thread count.
@@ -739,16 +800,8 @@ PINNED_RECEIVER_SHA256 = {
 
 
 def test_receiver_csv_bytes_are_pinned(tmp_path, capsys):
-    digests = {}
-    for run_name, argv in PINNED_RECEIVER_RUNS.items():
-        out = tmp_path / run_name
-        cli.main([*argv, "--out", str(out)])
-        digests[run_name] = {
-            name: hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-            for name, lines in _csv_bytes_without_out_line(out).items()
-        }
+    assert _run_digests(tmp_path, PINNED_RECEIVER_RUNS) == PINNED_RECEIVER_SHA256
     capsys.readouterr()
-    assert digests == PINNED_RECEIVER_SHA256
 
 
 #: Lattice-SVD and path-gain runs whose CSVs are pinned, and the SHA-256 of
@@ -772,16 +825,67 @@ PINNED_LINK_SHA256 = {
 
 
 def test_link_csv_bytes_are_pinned(tmp_path, capsys):
-    digests = {}
-    for run_name, argv in PINNED_LINK_RUNS.items():
-        out = tmp_path / run_name
-        cli.main([*argv, "--out", str(out)])
-        digests[run_name] = {
-            name: hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-            for name, lines in _csv_bytes_without_out_line(out).items()
-        }
+    assert _run_digests(tmp_path, PINNED_LINK_RUNS) == PINNED_LINK_SHA256
     capsys.readouterr()
-    assert digests == PINNED_LINK_SHA256
+
+
+#: Profile runs whose CSVs are pinned: the defaults, and two different axes
+#: at an odd resolution, which puts 0 on the axis.
+PINNED_PROFILE_RUNS = {
+    "defaults": ["profiles", "--resolution=32"],
+    "odd": ["profiles", "--T=4", "--R=6", "--D=30", "--modes=0,2", "--resolution=33"],
+}
+PINNED_PROFILE_SHA256 = {
+    "defaults": {
+        "profile_l0_focused_rx_amplitude.csv": "3ac0b41387bd6d66332871232aac5648617b34cce22b5d0dfd81fbc8cfb48912",
+        "profile_l0_focused_rx_phase.csv": "d60337239e3beb82c44f087f52f35ea131a30c963327e60905e95e0093175ba7",
+        "profile_l0_focused_tx_phase.csv": "cabdc20838bccfbc52ad021a61540a693253dba1e280a45f809b6caa1ae891dd",
+        "profile_l0_unfocused_rx_amplitude.csv": "a1f240fa5ec2aad2060a993f3323d59e29e5751bccf5fd6dc02e2d44aa946b55",
+        "profile_l0_unfocused_rx_phase.csv": "00e466a7229dc38ee68e4e166e49583e6e6ae4f8fb73da19834141ad5b0692e8",
+        "profile_l0_unfocused_tx_phase.csv": "fc360eb156383acf711066ff2337452862b2c11a2ba0548cfd218d01ce7e6d21",
+        "profile_l1_focused_rx_amplitude.csv": "9b8832b262e2bb1e58942e3979f441ccc91d0b2b6012c9dfd78f07f86f1d12b4",
+        "profile_l1_focused_rx_phase.csv": "50890546f2de997b9aea3676d6839e2aec86ae2d44b068489b4e0c27480e4d12",
+        "profile_l1_focused_tx_phase.csv": "c1273073f3d18081b4291de55b45bebbd46b34a05a1a3b7605969592a02e7594",
+        "profile_l1_unfocused_rx_amplitude.csv": "ed1028882324a95c95994e8d57711d5ec88f858e224a633b243d8953ba9aee25",
+        "profile_l1_unfocused_rx_phase.csv": "36e85999b57a6ae1d028910a9f4d1ac09ccad85338fc6e5a8339fe6f07b30514",
+        "profile_l1_unfocused_tx_phase.csv": "25ba63a1a1d6182d5bd9da8fb08924a127395ea0be1da859755b9d9e30c63337",
+        "profile_l3_focused_rx_amplitude.csv": "41cdfc99fa5272d5d30286fb7927eded0b2882cf67edd2ec0b84734da8a7da41",
+        "profile_l3_focused_rx_phase.csv": "c8317e6651e787b46f9a7d2df86b85d1b849a90b086118854068b3a94cb44aae",
+        "profile_l3_focused_tx_phase.csv": "6bc72e7fa2b316286b524217149d1833f66dfd1b94583c4f1677f4d30e3fe7a2",
+        "profile_l3_unfocused_rx_amplitude.csv": "9e4b530244fb5fa96811a3df8a07c70779444d5f5adb942a9c5afef6972c81f0",
+        "profile_l3_unfocused_rx_phase.csv": "06a21244ccac83334dd12133d564aae885caaadc2b8d43ec9b2a453b40c7e6d9",
+        "profile_l3_unfocused_tx_phase.csv": "543ad9fb188082f6983030adef2424493bc83c9de1ab655cba4acbc45fcc95be",
+        "radial_l0_focused.csv": "6cdc4ef8abde75aa1e29cfdb0a356009f9cc7dc011c8019948e6b0b5e65d41b0",
+        "radial_l0_unfocused.csv": "8dc0a9fe4379c214eef303decc7a742b12c609b5c6dfb8172c229832f11e01fb",
+        "radial_l1_focused.csv": "1df7692288247a8f6523b42a201fb2d8d1d4b04803a1e61734ecc5e9cd53a3a8",
+        "radial_l1_unfocused.csv": "e7067d586c90b0b613929de9320a859920566dcbc16ff34c5e5c1239d76d88c5",
+        "radial_l3_focused.csv": "6d0ded4eb99644fddd3a7b862afc484c2a8ba3205982fd7223289edb7fd2de26",
+        "radial_l3_unfocused.csv": "c0e49c9d2e763d578c0f1615b3b91eba44d302213811fb93f180df23e047b82c",
+    },
+    "odd": {
+        "profile_l0_focused_rx_amplitude.csv": "bb1a3e9e3721feb922c5e7fb5e4f631f79dbc1ded55f94c31455ab9ae013a38b",
+        "profile_l0_focused_rx_phase.csv": "8e988155e44b11ff56deedb41919708ddb9ba047fb34a9d684a3fd6735aa3ef5",
+        "profile_l0_focused_tx_phase.csv": "ba7f65e0f2c2b13d016e03d79aaab1a27c0c778dc0ae5024454553fb8ab47b89",
+        "profile_l0_unfocused_rx_amplitude.csv": "95216b72dcb1fef13230ed3f12fbde03931af3082aac9707de9fa3b2852752a3",
+        "profile_l0_unfocused_rx_phase.csv": "da6a8c519e74026c24442830cffff4e0263f528d586d4d2d775bba6772410fe8",
+        "profile_l0_unfocused_tx_phase.csv": "c248f3a57d86897d908a92e06f4c3c7c08f74037cde1ba8c00047a0cb62b98c6",
+        "profile_l2_focused_rx_amplitude.csv": "34f5e9bf5d47ab72347190a854425d6b3348060e04a2fc9d85827c9b73b08d51",
+        "profile_l2_focused_rx_phase.csv": "be9da32d7a9d213930875ed25b275f3d2c7e4463e803bac24bc9530a5d56aa8d",
+        "profile_l2_focused_tx_phase.csv": "8da7122ba9a3db2872e4a4079638490252e612926cc404ce88b2e3d7a53d2ac9",
+        "profile_l2_unfocused_rx_amplitude.csv": "2a4cc2445ddbc1189a1abecf7ab2804001c72bd3a480362cbe3d356601e5c682",
+        "profile_l2_unfocused_rx_phase.csv": "ee8554ae3a0cce57e9f0a252aab8ebbe6a39a9c0cff2ff2ca2a80052716a1c29",
+        "profile_l2_unfocused_tx_phase.csv": "d62eab2a723c6b5ca7a805bec1b134aa5e9e10424684fd0da173c7e7d3256b81",
+        "radial_l0_focused.csv": "bd26919f0e15ca8e7ef9fb2f586667d7f6c610660d79002b77ed20cfd9aa79d9",
+        "radial_l0_unfocused.csv": "0d76ba518ce526af71b88c7ae5cb9ccf0adc20eb16d71bcc3d4e65b282ccf706",
+        "radial_l2_focused.csv": "879bb30071a502774840597af329ea2baceb59475fe41c191c92608c4d1df0f4",
+        "radial_l2_unfocused.csv": "5e0324e2e75caff799210c62d187d9bcedbd1bc13ad837728c5976c308246ad4",
+    },
+}
+
+
+def test_profile_csv_bytes_are_pinned(tmp_path, capsys):
+    assert _run_digests(tmp_path, PINNED_PROFILE_RUNS) == PINNED_PROFILE_SHA256
+    capsys.readouterr()
 
 
 #: Receiver runs whose smart window at a 0.001 dB drop falls between two

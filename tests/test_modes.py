@@ -1,5 +1,6 @@
 """Tests for surface discretization, the coupling operator and mode counting."""
 
+import math
 import warnings
 
 import numpy as np
@@ -150,6 +151,8 @@ def test_count_modes_reference_override_and_validation():
     assert count_modes(10 * np.log10(energies / 4.0), -5.0) == 0
     with pytest.raises(ValueError):
         count_modes(10 * np.log10(energies), 1.0)
+    with pytest.raises(ValueError):
+        count_modes(np.array([0.0, -1.0, -3.0]), math.nan)
 
 
 def test_mode_spectrum_db_scales():
