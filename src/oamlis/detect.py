@@ -20,8 +20,10 @@ sweeps are chunked and seeded per chunk, so results are reproducible for a
 given master seed.  Both sweeps take (charge, strategy name) branches and
 one smart-window drop level: :func:`ber_curves` over the link SNR,
 :func:`tnr_curves` over the energy detector's threshold at a fixed SNR.
-They share one setup and one error-count loop.  The draw does not depend on
-the branch, so each chunk is drawn once and every branch is scored on it.
+They share one receiver model, which holds the slot grid, E_s, the branch
+templates and the noise per SNR, and one error-count loop.  The draw does
+not depend on the branch, so each chunk is drawn once and every branch is
+scored on it.
 No branch signal is synthesized: every MF/ID statistic and ED's signal x
 noise term are linear in the noise, so one projection of the chunk's noise
 onto the stacked branch templates, plus one windowed noise energy per ED
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr, erfc
 
-from .geometry import Scenario
+from .geometry import DEFAULT_WAVELENGTH, Scenario
 from .numerics import _run_shares
 from .oam import default_radial_grid, field_energies, radial_fields
 
@@ -61,6 +63,10 @@ _CHUNK_BUDGET_BYTES = 2 * 1024**3
 MIN_TRIALS = 10000
 #: OOK "one" amplitude; average symbol energy then matches unit-amplitude BPSK.
 OOK_ONE_AMPLITUDE = math.sqrt(2.0)
+#: Golden-section steps of :func:`optimize_threshold`.
+THRESHOLD_ITERATIONS = 80
+#: Default smart-window drop level below the intensity peak, in dB.
+DEFAULT_DROP_DB = 10.0
 #: Default multiplexed charge set for link-level SNR bookkeeping.
 DEFAULT_MODE_SET = (0, 1, 2, 3, 4)
 
@@ -77,7 +83,7 @@ STRATEGIES = {
 }
 
 
-def slot_grid(radius: float, slot: float | None = None, wavelength: float = 0.1):
+def slot_grid(radius: float, slot: float | None = None, wavelength: float = DEFAULT_WAVELENGTH):
     """Radial slot midpoints tiling [0, radius].
 
     The requested slot width (default lambda/4) is rounded so an integer
@@ -101,7 +107,9 @@ def _slot_count(radius: float, slot: float | None, wavelength: float) -> int:
     return math.ceil(radius / slot)
 
 
-def check_chunk_budget(radius: float, slot: float | None = None, wavelength: float = 0.1):
+def check_chunk_budget(
+    radius: float, slot: float | None = None, wavelength: float = DEFAULT_WAVELENGTH
+):
     """Raise ValueError when one Monte Carlo chunk's real-part plane,
     CHUNK_TRIALS x M floats on the :func:`slot_grid` of these arguments,
     would exceed the chunk budget."""
@@ -224,7 +232,7 @@ class BerCurve:
         return cls(axis_db=np.asarray(axis_db, float), ber=ber, trials=trials, ci95=ci95)
 
 
-def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = 10.0):
+def smart_window(radii: np.ndarray, field: np.ndarray, drop_db: float = DEFAULT_DROP_DB):
     """Radial interval around a sampled field's intensity peak.
 
     Returns the smallest contiguous interval that contains the peak of
@@ -282,74 +290,63 @@ def gaussian_ber(gain: float, variance: float) -> float:
     return 0.5 * erfc(gain / math.sqrt(variance))
 
 
-def ed_ber(
-    threshold: float,
-    n0: float,
-    n_slots: int,
-    window_energy: float,
-    amplitude: float = OOK_ONE_AMPLITUDE,
-) -> float:
+def ed_ber(threshold: float, n0: float, n_slots: int, window_energy: float) -> float:
     """Closed-form OOK error probability of the windowed energy detector.
 
     Over a window of M slots the normalized statistic Y/(pi N0) is central
     chi-square with 2M degrees of freedom for a "0" and noncentral with
-    parameter 4 pi a^2 E_w / N0 for a "1", where E_w is the window's radial
-    template energy int_w |psi|^2 rho d rho.  The two tail probabilities
-    come from ``scipy.special`` directly; they are the values that
-    ``scipy.stats`` ``chi2.sf`` and ``ncx2.cdf`` return, bit for bit.
+    parameter 4 pi a^2 E_w / N0 for a "1", where a is
+    :data:`OOK_ONE_AMPLITUDE` and E_w the window's radial template energy
+    int_w |psi|^2 rho d rho.  The two tail probabilities come from
+    ``scipy.special`` directly; they are the values that ``scipy.stats``
+    ``chi2.sf`` and ``ncx2.cdf`` return, bit for bit.
 
     Args:
         threshold: decision level in the statistic's energy units.
         n0: noise spectral density.
         n_slots: slot count M of the window.
         window_energy: E_w, radial template energy over the window.
-        amplitude: transmitted "1" amplitude.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     dof = 2 * n_slots
-    nc = 4 * np.pi * amplitude**2 * window_energy / n0
+    nc = 4 * np.pi * OOK_ONE_AMPLITUDE**2 * window_energy / n0
     normalized = threshold / (np.pi * n0)
     one_missed = chdtr(dof, normalized) if nc == 0 else chndtr(normalized, dof, nc)
     return 0.5 * (chdtrc(dof, normalized) + one_missed)
 
 
-def optimize_threshold(
-    n0: float,
-    n_slots: int,
-    window_energy: float,
-    amplitude: float = OOK_ONE_AMPLITUDE,
-    iterations: int = 80,
-):
+def optimize_threshold(n0: float, n_slots: int, window_energy: float):
     """Golden-section minimizer of the closed-form energy-detector BER.
 
     The error probability is unimodal in the threshold (monotone likelihood
-    ratio of the two chi-square hypotheses), so a golden-section search over
-    [0, 4 x mean received symbol-plus-noise energy] converges to the global
-    optimum.
+    ratio of the two chi-square hypotheses), so :data:`THRESHOLD_ITERATIONS`
+    golden-section steps over [0, 4 x mean received symbol-plus-noise
+    energy] converge to the global optimum.
 
     Returns:
         (threshold, ber) at the optimum.
     """
-    mean_energy = 2 * np.pi * n0 * n_slots + 0.5 * (2 * np.pi * amplitude) ** 2 * window_energy
+    signal = 0.5 * (2 * np.pi * OOK_ONE_AMPLITUDE) ** 2 * window_energy
+    mean_energy = 2 * np.pi * n0 * n_slots + signal
     lo, hi = 0.0, 4 * mean_energy
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = ed_ber(c, n0, n_slots, window_energy, amplitude)
-    fd = ed_ber(d, n0, n_slots, window_energy, amplitude)
-    for _ in range(iterations):
+    fc = ed_ber(c, n0, n_slots, window_energy)
+    fd = ed_ber(d, n0, n_slots, window_energy)
+    for _ in range(THRESHOLD_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = ed_ber(c, n0, n_slots, window_energy, amplitude)
+            fc = ed_ber(c, n0, n_slots, window_energy)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = ed_ber(d, n0, n_slots, window_energy, amplitude)
+            fd = ed_ber(d, n0, n_slots, window_energy)
     zeta = (a + b) / 2
-    return zeta, ed_ber(zeta, n0, n_slots, window_energy, amplitude)
+    return zeta, ed_ber(zeta, n0, n_slots, window_energy)
 
 
 def link_symbol_energy(
@@ -377,7 +374,14 @@ def _symbol_energy_and_fields(scenario: Scenario, focused: bool, mode_set):
 
 
 class _Scorer:
-    """Every branch's real decision statistic from one projection of the noise.
+    """The receiver model of one sweep: slot grid, E_s, and every branch's
+    real decision statistic from one projection of the noise.
+
+    Checks the strategy names, the drop level, that every branch charge
+    belongs to ``mode_set`` and the chunk budget of the slot grid, before
+    any radial pass.  One radial pass on the default grid then gives E_s of
+    ``mode_set`` and the fields that the smart windows read; a second gives
+    the slot-grid templates of all distinct branch charges.
 
     For y = 2 pi s psi + n, a branch's statistic is its response to the
     noiseless symbol plus the projection n @ template:
@@ -389,20 +393,28 @@ class _Scorer:
       |2 pi s psi + n|^2; the statistic is a^2 E_w + 2 a Re(n @ template)
       + sum_w |n|^2 rho delta with a = 2 pi s.
 
-    The templates of all distinct charges come from one slot-grid radial
-    pass; a smart window reads its charge's default-grid field in
-    ``fields``.  ``gains`` are the coherent branches' responses to a unit
-    symbol after equalization, ``window_energies`` and ``slot_counts`` the
-    E_w and M of the ED windows.  On the interleaved (re, im) float view v
-    of the noise, Re(n @ t) is v @ [Re t, -Im t], the float view of
-    conj(t), so the templates of all branches stack into one real
-    (branches x 2M) matrix; ED's noise energy is v^2 @ [w, w] for each
-    distinct window w.  The products run through ``np.einsum`` on
-    contiguous rows, which keeps them single-threaded whatever the BLAS
-    thread count.
+    ``radii`` and ``delta`` are the slot grid, ``symbol_energy`` is E_s.
+    ``gains`` are the coherent branches' responses to a unit symbol after
+    equalization, ``window_energies`` and ``slot_counts`` the E_w and M of
+    the ED windows.  On the interleaved (re, im) float view v of the noise,
+    Re(n @ t) is v @ [Re t, -Im t], the float view of conj(t), so the
+    templates of all branches stack into one real (branches x 2M) matrix;
+    ED's noise energy is v^2 @ [w, w] for each distinct window w.  The
+    products run through ``np.einsum`` on contiguous rows, which keeps them
+    single-threaded whatever the BLAS thread count.
     """
 
-    def __init__(self, scenario: Scenario, branches, focused: bool, radii, delta, fields, drop_db):
+    def __init__(self, scenario: Scenario, branches, focused: bool, mode_set, slot, drop_db):
+        check_strategies([name for _, name in branches])
+        if not drop_db > 0:
+            raise ValueError("window drop level must be positive dB")
+        members = {int(m) for m in mode_set}
+        if any(int(charge) not in members for charge, _ in branches):
+            raise ValueError("branch charge must belong to the multiplexed set")
+        check_chunk_budget(scenario.radius_rx, slot, scenario.wavelength)
+        radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
+        self.radii, self.delta = radii, delta
+        self.symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
         kappa, z = scenario.kappa, scenario.distance
         compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
         charges = list(dict.fromkeys(int(charge) for charge, _ in branches))
@@ -447,6 +459,11 @@ class _Scorer:
         windows, self.window_of = np.unique(masks, axis=0, return_inverse=True)
         self.windows = np.repeat(windows * weights, 2, axis=1)
 
+    def noise(self, snr_db: float) -> NoiseModel:
+        """The slot-grid noise at link SNR ``snr_db``: N0 = E_s / 10^(snr_db/10)."""
+        n0 = self.symbol_energy / 10 ** (snr_db / 10)
+        return NoiseModel(n0=n0, radii=self.radii, delta=self.delta)
+
     def thresholds(self, n0: float) -> np.ndarray:
         """Level each branch's statistic must reach to decide "1" at noise
         level n0: 0 for the coherent branches, the closed-form optimum for
@@ -476,37 +493,6 @@ class _Scorer:
         return stats
 
 
-def _sweep_setup(scenario: Scenario, branches, trials: int, focused: bool, mode_set, slot, drop_db):
-    """Scorer of the branches, E_s of ``mode_set``, and the slot noise per SNR.
-
-    Checks the trial count, the strategy names, the drop level and that
-    every branch charge belongs to ``mode_set``.  One radial pass gives E_s
-    and the default-grid fields that the smart windows read; a second gives
-    the slot-grid templates.
-
-    Returns:
-        (scorer, symbol_energy, noise_at): ``noise_at(snr_db)`` is the
-        NoiseModel on the slot grid at N0 = E_s / 10^(snr_db/10).
-    """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
-    check_strategies([name for _, name in branches])
-    if not drop_db > 0:
-        raise ValueError("window drop level must be positive dB")
-    members = {int(m) for m in mode_set}
-    if any(int(charge) not in members for charge, _ in branches):
-        raise ValueError("branch charge must belong to the multiplexed set")
-    check_chunk_budget(scenario.radius_rx, slot, scenario.wavelength)
-    radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
-    symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
-    scorer = _Scorer(scenario, branches, focused, radii, delta, fields, drop_db)
-
-    def noise_at(snr_db: float) -> NoiseModel:
-        return NoiseModel(n0=symbol_energy / 10 ** (snr_db / 10), radii=radii, delta=delta)
-
-    return scorer, symbol_energy, noise_at
-
-
 def _db_axis(values, name: str) -> np.ndarray:
     """``values`` as a 1-D float array; raises unless every entry is finite."""
     axis = np.atleast_1d(np.asarray(values, dtype=float))
@@ -516,7 +502,8 @@ def _db_axis(values, name: str) -> np.ndarray:
 
 
 def _count_errors(scorer: _Scorer, models, point_seeds, trials: int, thresholds) -> list:
-    """Per point, the (branches, levels) bit error counts over ``trials`` symbols.
+    """Per point, the (branches, levels) bit error counts over ``trials``
+    symbols, at least MIN_TRIALS.
 
     Point k draws with ``models[k]`` and decides at ``thresholds[k]``, which
     broadcasts to (branches, levels): a branch decides "1" at a level where
@@ -526,6 +513,8 @@ def _count_errors(scorer: _Scorer, models, point_seeds, trials: int, thresholds)
     so the shares stay even) and each writes only its own counts, so the
     sums do not depend on the CPU count.
     """
+    if trials < MIN_TRIALS:
+        raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
     chunk_seeds = [point_seed.spawn(len(sizes)) for point_seed in point_seeds]
@@ -559,7 +548,7 @@ def ber_curves(
     focused: bool = True,
     mode_set=DEFAULT_MODE_SET,
     slot: float | None = None,
-    drop_db: float = 10.0,
+    drop_db: float = DEFAULT_DROP_DB,
 ) -> tuple[list[BerCurve], float]:
     """Monte Carlo BER of several demultiplexed branches over one SNR sweep.
 
@@ -594,15 +583,13 @@ def ber_curves(
         in branch order, and the E_s that the axis refers to.
     """
     snr_db = _db_axis(snr_db_list, "SNR axis")
-    scorer, e_s, noise_at = _sweep_setup(
-        scenario, branches, trials, focused, mode_set, slot, drop_db
-    )
+    scorer = _Scorer(scenario, branches, focused, mode_set, slot, drop_db)
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
-    models = [noise_at(snr) for snr in snr_db]
+    models = [scorer.noise(snr) for snr in snr_db]
     zetas = [scorer.thresholds(model.n0)[:, None] for model in models]
     errors = np.array(_count_errors(scorer, models, point_seeds, trials, zetas))[:, :, 0]
     counts = np.full(len(snr_db), trials)
-    return [BerCurve.from_counts(snr_db, row, counts) for row in errors.T], e_s
+    return [BerCurve.from_counts(snr_db, row, counts) for row in errors.T], scorer.symbol_energy
 
 
 def tnr_curves(
@@ -615,7 +602,7 @@ def tnr_curves(
     focused: bool = True,
     mode_set=DEFAULT_MODE_SET,
     slot: float | None = None,
-    drop_db: float = 10.0,
+    drop_db: float = DEFAULT_DROP_DB,
 ) -> list[BerCurve]:
     """Monte Carlo energy-detector BER of several branches over a TNR sweep.
 
@@ -640,8 +627,8 @@ def tnr_curves(
         raise ValueError("a TNR sweep takes energy-detector branches only")
     _db_axis(snr_db, "SNR")
     tnr_db = _db_axis(tnr_db_list, "TNR axis")
-    scorer, _, noise_at = _sweep_setup(scenario, branches, trials, focused, mode_set, slot, drop_db)
-    model = noise_at(snr_db)
+    scorer = _Scorer(scenario, branches, focused, mode_set, slot, drop_db)
+    model = scorer.noise(snr_db)
     thresholds = model.n0 * 10 ** (tnr_db / 10)
     seeds = [np.random.SeedSequence(seed)]
     (errors,) = _count_errors(scorer, [model], seeds, trials, [thresholds])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .detect import (
+    DEFAULT_DROP_DB,
     DEFAULT_MODE_SET,
     MIN_TRIALS,
     SLOT_WAVELENGTH_FRACTION,
@@ -104,7 +106,7 @@ class ExperimentConfig:
         tuple(16.0 + 0.5 * k for k in range(33)), "comma-separated TNR axis in dB"
     )
     focused: bool = _key(True, "apply the transmit focusing phase law (default)")
-    drop_db: float = _key(10.0, "smart-window drop level in dB")
+    drop_db: float = _key(DEFAULT_DROP_DB, "smart-window drop level in dB")
     trials: int = _key(100000, "Monte Carlo trials per point")
     seed: int = _key(0, "master random seed")
     resolution: int = _key(101, "samples per axis of each aperture map")
@@ -119,6 +121,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            hint = _FIELD_TYPES[field.name]
+            if hint in _SCALAR_TYPES and (
+                isinstance(value, (bool, np.bool_)) != (hint is bool)
+                or not isinstance(value, _SCALAR_TYPES[hint][0])
+            ):
+                raise ValueError(f"{field.name} must be {_SCALAR_TYPES[hint][1]}, got {value!r}")
             if isinstance(field.default, tuple) and not isinstance(value, tuple):
                 # A list or an array is kept as a tuple of Python scalars, so
                 # it is checked, hashed and serialized as the parsed value is.
@@ -170,6 +178,19 @@ class ExperimentConfig:
 
     def scenario(self) -> Scenario:
         return Scenario.normalized(self.T, self.R, self.D, wavelength=self.wavelength)
+
+
+#: Config field -> its type annotation.
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+#: Scalar field type -> (the value types it takes, its name in errors).  A
+#: bool field takes bools only and no other field takes one.
+_SCALAR_TYPES = {
+    bool: ((bool, np.bool_), "a bool"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    str: (str, "a string"),
+}
 
 
 def _links(config: ExperimentConfig):
@@ -224,9 +245,7 @@ def _field_parser(hint):
 
 
 #: Config key -> parser of its text value, from the field annotations.
-FIELD_PARSERS = {
-    name: _field_parser(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()
-}
+FIELD_PARSERS = {name: _field_parser(hint) for name, hint in _FIELD_TYPES.items()}
 
 
 def serialize_config(config: ExperimentConfig) -> str:

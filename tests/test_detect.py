@@ -573,22 +573,56 @@ def test_smart_windows_reuse_the_symbol_energy_pass(monkeypatch):
         assert radial_passes == [len(default_radial_grid(s)), slots]
 
 
+def test_sweeps_check_their_receiver_inputs_before_any_radial_pass(monkeypatch):
+    # Every receiver check fails fast: no bad input costs a radial pass.
+    s = Scenario.normalized(10, 10, 100)  # R = 1 m
+    radial_passes = []
+
+    def spy(*args, **kwargs):
+        radial_passes.append(args)
+        return oam.radial_fields(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "radial_fields", spy)
+    ed = [(0, "ed_full")]
+    bad = {
+        "unknown name": dict(branches=[(0, "bogus")]),
+        "zero drop level": dict(drop_db=0.0),
+        "NaN drop level": dict(drop_db=math.nan),
+        "charge outside the mode set": dict(branches=[(7, "ed_full")]),
+        "slot past the chunk budget": dict(slot=1e-5),
+        "non-finite axis": dict(axis=[math.nan]),
+    }
+    for case, kw in bad.items():
+        branches, axis = kw.pop("branches", ed), kw.pop("axis", [20.0])
+        for sweep in (
+            lambda: ber_curves(s, branches, axis, 10_000, **kw),
+            lambda: tnr_curves(s, branches, 19.0, axis, 10_000, **kw),
+        ):
+            with pytest.raises(ValueError):
+                sweep()
+            assert radial_passes == [], case
+    for snr_db, branches in ((math.nan, ed), (19.0, [(0, "ed_full"), (0, "mf")])):
+        with pytest.raises(ValueError):
+            tnr_curves(s, branches, snr_db, [20.0], 10_000)
+        assert radial_passes == []
+
+
 def _six_receiver_scorer(s):
     """The six strategies at charges 0 and 4 on the default slot grid: the
-    branches, the grid, E_s, the smart windows' fields and their scorer."""
+    branches, their scorer's slot grid and E_s, and the scorer."""
     pairs = [(charge, name) for charge in (0, 4) for name in STRATEGIES]
-    radii, delta = slot_grid(s.radius_rx, wavelength=s.wavelength)
-    e_s, fields = detect._symbol_energy_and_fields(s, True, DEFAULT_MODE_SET)
-    scorer = detect._Scorer(s, pairs, True, radii, delta, fields, 10.0)
-    return pairs, radii, delta, e_s, fields, scorer
+    scorer = detect._Scorer(s, pairs, True, DEFAULT_MODE_SET, None, 10.0)
+    return pairs, scorer.radii, scorer.delta, scorer.symbol_energy, scorer
 
 
-def _oracle_branches(s, pairs, radii, delta, fields):
+def _oracle_branches(s, pairs, radii, delta):
     """Per branch, its statistic, equalizer, slot-grid profile psi, window
     mask and propagation-phase compensation c, from the public functions."""
     (on_slots,) = radial_fields(s, (0, 4), (True,), radii)
     psis = dict(zip((0, 4), on_slots))
     grid = default_radial_grid(s)
+    (on_grid,) = radial_fields(s, (0, 4), (True,), grid)
+    fields = dict(zip((0, 4), on_grid))
     kappa, z = s.kappa, s.distance
     compensation = np.exp(-1j * kappa * radii**2 / (2 * z)) * np.exp(-1j * kappa * z)
     for charge, name in pairs:
@@ -625,7 +659,7 @@ def _oracle_statistic(statistic, equalize, psi, mask, compensation, radii, delta
 
 def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     s = Scenario.normalized(10, 10, 100)
-    pairs, radii, delta, e_s, fields, scorer = _six_receiver_scorer(s)
+    pairs, radii, delta, e_s, scorer = _six_receiver_scorer(s)
     n0 = e_s / 10 ** (6.0 / 10)
     model = NoiseModel(n0=n0, radii=radii, delta=delta)
     rng = np.random.default_rng(np.random.SeedSequence(3))
@@ -633,7 +667,7 @@ def test_scorer_matches_the_statistics_of_the_synthesized_signal():
     noise = model.sample(rng, 10_000)
     stats = scorer.statistics(bits, noise.view(float))
     zetas = scorer.thresholds(n0)
-    branches = _oracle_branches(s, pairs, radii, delta, fields)
+    branches = _oracle_branches(s, pairs, radii, delta)
     for b, branch in enumerate(branches):
         oracle = _oracle_statistic(*branch, radii, delta, bits, noise)
         assert_allclose(stats[:, b], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
@@ -647,11 +681,9 @@ def test_scorer_gains_windows_and_thresholds_are_bitwise_the_oracles():
     # and an ED window's energy is the energy statistic of its noiseless
     # profile, so every number the decisions use is bitwise the oracle's.
     s = Scenario.normalized(10, 10, 100)
-    pairs, radii, delta, e_s, fields, scorer = _six_receiver_scorer(s)
+    pairs, radii, delta, e_s, scorer = _six_receiver_scorer(s)
     gains, energies, slots = [], [], []
-    for statistic, equalize, psi, mask, compensation in _oracle_branches(
-        s, pairs, radii, delta, fields
-    ):
+    for statistic, equalize, psi, mask, compensation in _oracle_branches(s, pairs, radii, delta):
         if statistic == "ed":
             energies.append(ed_statistic(psi, mask, radii, delta))
             slots.append(int(mask.sum()))
@@ -689,7 +721,7 @@ def test_scorer_on_row_blocks_equals_one_whole_chunk_call():
     # Each row's statistics depend on that row alone, bitwise, so a chunk
     # scored block by block gives the whole-chunk statistics.
     s = Scenario.normalized(10, 10, 100)
-    _, radii, delta, e_s, _, scorer = _six_receiver_scorer(s)
+    _, radii, delta, e_s, scorer = _six_receiver_scorer(s)
     model = NoiseModel(n0=e_s / 4, radii=radii, delta=delta)
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, 5_000)
@@ -706,14 +738,12 @@ def _serial_bers(s, branches, snr_db, trials, point_seeds, tnr_db=None):
     chunk drawn whole (bits, real parts, imaginary parts) and scored in one
     call, on one thread: one row per branch over the SNR axis, or over the
     ``tnr_db`` axis at the one SNR point."""
-    scorer, _, noise_at = detect._sweep_setup(
-        s, branches, trials, True, DEFAULT_MODE_SET, None, 10.0
-    )
+    scorer = detect._Scorer(s, branches, True, DEFAULT_MODE_SET, None, 10.0)
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
     errors = []
     for snr, point_seed in zip(snr_db, point_seeds, strict=True):
-        model = noise_at(snr)
+        model = scorer.noise(snr)
         if tnr_db is None:
             zetas = scorer.thresholds(model.n0)[:, None]
         else:

@@ -138,6 +138,21 @@ def test_config_rejects_non_finite_numpy_scalars():
             default_config("spectrum", **overrides)
 
 
+def test_config_rejects_mistyped_scalars():
+    # A truthy string would run focused while the metadata says false; a
+    # float charge bound and a bool seed would not parse back.
+    for kind, overrides, message in (
+        ("ber", {"focused": "false"}, "focused must be a bool, got 'false'"),
+        ("spectrum", {"max_charge": 3.7}, "max_charge must be an integer, got 3.7"),
+        ("ber", {"seed": True}, "seed must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            default_config(kind, **overrides)
+    # An int is a float value, and NumPy scalars keep their field's type.
+    config = default_config("spectrum", T=10, D=np.float32(40.0), max_charge=np.int64(4))
+    assert parse_config(serialize_config(config)) == config
+
+
 def test_parse_config_overrides_and_comments():
     base = default_config("spectrum")
     parsed = parse_config("# a comment\n\nT = 12\nmodes = 0, 2, 4\n", base=base)
