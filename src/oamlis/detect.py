@@ -88,32 +88,19 @@ def slot_grid(radius: float, slot: float | None = None, wavelength: float = DEFA
 
     The requested slot width (default lambda/4) is rounded so an integer
     number of slots covers the radius exactly; midpoints start at delta/2.
+    The slot rules live here alone: a positive width at most the radius, and
+    one chunk's CHUNK_TRIALS x M real noise parts within the 2 GiB budget.
 
     Returns:
         (radii, delta) with radii of shape (M,).
     """
-    count = _slot_count(radius, slot, wavelength)
-    delta = radius / count
-    radii = (np.arange(count) + 0.5) * delta
-    return radii, delta
-
-
-def _slot_count(radius: float, slot: float | None, wavelength: float) -> int:
-    """Slot count M of :func:`slot_grid`."""
     if slot is None:
         slot = SLOT_WAVELENGTH_FRACTION * wavelength
-    if not 0 < slot <= radius:
-        raise ValueError("slot width must be positive and at most the radius")
-    return math.ceil(radius / slot)
-
-
-def check_chunk_budget(
-    radius: float, slot: float | None = None, wavelength: float = DEFAULT_WAVELENGTH
-):
-    """Raise ValueError when one Monte Carlo chunk's real-part plane,
-    CHUNK_TRIALS x M floats on the :func:`slot_grid` of these arguments,
-    would exceed the chunk budget."""
-    count = _slot_count(radius, slot, wavelength)
+    if not slot > 0:
+        raise ValueError("slot width must be positive")
+    if slot > radius:
+        raise ValueError("slot must be at most the receive radius R")
+    count = math.ceil(radius / slot)
     max_slots = _CHUNK_BUDGET_BYTES // (CHUNK_TRIALS * 8)
     if count > max_slots:
         raise ValueError(
@@ -121,6 +108,9 @@ def check_chunk_budget(
             f"of noise for {count} slots; at most {max_slots} slots fit in the "
             f"{_CHUNK_BUDGET_BYTES / 1024**3:g} GiB chunk budget, so widen the slot"
         )
+    delta = radius / count
+    radii = (np.arange(count) + 0.5) * delta
+    return radii, delta
 
 
 def check_strategies(names) -> None:
@@ -377,11 +367,11 @@ class _Scorer:
     """The receiver model of one sweep: slot grid, E_s, and every branch's
     real decision statistic from one projection of the noise.
 
-    Checks the strategy names, the drop level, that every branch charge
-    belongs to ``mode_set`` and the chunk budget of the slot grid, before
-    any radial pass.  One radial pass on the default grid then gives E_s of
-    ``mode_set`` and the fields that the smart windows read; a second gives
-    the slot-grid templates of all distinct branch charges.
+    Checks that there is a branch, the strategy names, the drop level, that
+    every branch charge belongs to ``mode_set`` and the slot grid's rules,
+    before any radial pass.  One radial pass on the default grid then gives
+    E_s of ``mode_set`` and the fields that the smart windows read; a second
+    gives the slot-grid templates of all distinct branch charges.
 
     For y = 2 pi s psi + n, a branch's statistic is its response to the
     noiseless symbol plus the projection n @ template:
@@ -405,13 +395,14 @@ class _Scorer:
     """
 
     def __init__(self, scenario: Scenario, branches, focused: bool, mode_set, slot, drop_db):
+        if not branches:
+            raise ValueError("a sweep needs at least one branch")
         check_strategies([name for _, name in branches])
         if not drop_db > 0:
             raise ValueError("window drop level must be positive dB")
         members = {int(m) for m in mode_set}
         if any(int(charge) not in members for charge, _ in branches):
             raise ValueError("branch charge must belong to the multiplexed set")
-        check_chunk_budget(scenario.radius_rx, slot, scenario.wavelength)
         radii, delta = slot_grid(scenario.radius_rx, slot, scenario.wavelength)
         self.radii, self.delta = radii, delta
         self.symbol_energy, fields = _symbol_energy_and_fields(scenario, focused, mode_set)
@@ -501,22 +492,26 @@ def _db_axis(values, name: str) -> np.ndarray:
     return axis
 
 
-def _count_errors(scorer: _Scorer, models, point_seeds, trials: int, thresholds) -> list:
-    """Per point, the (branches, levels) bit error counts over ``trials``
-    symbols, at least MIN_TRIALS.
-
-    Point k draws with ``models[k]`` and decides at ``thresholds[k]``, which
-    broadcasts to (branches, levels): a branch decides "1" at a level where
-    its statistic reaches it.  Its trials are drawn in chunks of
-    CHUNK_TRIALS, each seeded by one child of ``point_seeds[k]``.  The
-    (point, chunk) units run on the process's CPUs (largest chunks first,
-    so the shares stay even) and each writes only its own counts, so the
-    sums do not depend on the CPU count.
-    """
+def _chunk_sizes(trials: int) -> list[int]:
+    """Trials of each Monte Carlo chunk of a point: CHUNK_TRIALS each, then
+    the rest.  Raises unless ``trials`` is at least MIN_TRIALS."""
     if trials < MIN_TRIALS:
         raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
     full, rest = divmod(trials, CHUNK_TRIALS)
-    sizes = [CHUNK_TRIALS] * full + ([rest] if rest else [])
+    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
+
+
+def _count_errors(scorer: _Scorer, models, point_seeds, sizes, thresholds) -> list:
+    """Per point, the (branches, levels) bit error counts over chunks of
+    ``sizes`` symbols (:func:`_chunk_sizes`).
+
+    Point k draws with ``models[k]`` and decides at ``thresholds[k]``, which
+    broadcasts to (branches, levels): a branch decides "1" at a level where
+    its statistic reaches it.  Its chunk c is seeded by child c of
+    ``point_seeds[k]``.  The (point, chunk) units run on the process's CPUs
+    (largest chunks first, so the shares stay even) and each writes only its
+    own counts, so the sums do not depend on the CPU count.
+    """
     chunk_seeds = [point_seed.spawn(len(sizes)) for point_seed in point_seeds]
     units = [(k, c) for c in range(len(sizes)) for k in range(len(models))]
     counts = [None] * len(units)
@@ -582,12 +577,13 @@ def ber_curves(
         (curves, symbol_energy): one BerCurve over the SNR axis per branch,
         in branch order, and the E_s that the axis refers to.
     """
+    sizes = _chunk_sizes(trials)
     snr_db = _db_axis(snr_db_list, "SNR axis")
     scorer = _Scorer(scenario, branches, focused, mode_set, slot, drop_db)
     point_seeds = np.random.SeedSequence(seed).spawn(len(snr_db))
     models = [scorer.noise(snr) for snr in snr_db]
     zetas = [scorer.thresholds(model.n0)[:, None] for model in models]
-    errors = np.array(_count_errors(scorer, models, point_seeds, trials, zetas))[:, :, 0]
+    errors = np.array(_count_errors(scorer, models, point_seeds, sizes, zetas))[:, :, 0]
     counts = np.full(len(snr_db), trials)
     return [BerCurve.from_counts(snr_db, row, counts) for row in errors.T], scorer.symbol_energy
 
@@ -623,6 +619,7 @@ def tnr_curves(
     Returns:
         One BerCurve over the TNR axis per branch, in branch order.
     """
+    sizes = _chunk_sizes(trials)
     if any(STRATEGIES[name][0] != "ed" for _, name in branches if name in STRATEGIES):
         raise ValueError("a TNR sweep takes energy-detector branches only")
     _db_axis(snr_db, "SNR")
@@ -631,6 +628,6 @@ def tnr_curves(
     model = scorer.noise(snr_db)
     thresholds = model.n0 * 10 ** (tnr_db / 10)
     seeds = [np.random.SeedSequence(seed)]
-    (errors,) = _count_errors(scorer, [model], seeds, trials, [thresholds])
+    (errors,) = _count_errors(scorer, [model], seeds, sizes, [thresholds])
     counts = np.full(len(tnr_db), trials)
     return [BerCurve.from_counts(tnr_db, row, counts) for row in errors]

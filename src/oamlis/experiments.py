@@ -12,7 +12,8 @@ verb's flags) and default overrides; a new verb is one row.
 
 Configs serialize to a flat ``key = value`` text format; see
 :func:`parse_config` / :func:`serialize_config`.  A config is checked when
-it is made, each lattice link by :func:`~oamlis.modes.check_lattice`.
+it is made, each lattice link by :func:`~oamlis.modes.check_lattice` and
+the slot width by :func:`~oamlis.detect.slot_grid`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .detect import (
     SLOT_WAVELENGTH_FRACTION,
     STRATEGIES,
     ber_curves,
-    check_chunk_budget,
     check_strategies,
+    slot_grid,
     tnr_curves,
 )
 from .geometry import DEFAULT_WAVELENGTH, Scenario, analytic_dof
@@ -72,7 +73,8 @@ class ExperimentConfig:
     wavelength fractions.  Fields not used by a given kind are ignored by
     its runner but still serialized, so one file can drive several verbs.
     Each field is also one config key and one CLI flag; its type annotation
-    selects the value parser.
+    selects its text parser and value check from :data:`_SCALARS`, and the
+    config stores plain Python values only.
     """
 
     kind: str = _key("spectrum", "experiment kind, one per runner")
@@ -113,32 +115,16 @@ class ExperimentConfig:
     out: str = _key("results", "output directory for CSV files", metavar="DIR")
 
     def __post_init__(self) -> None:
+        for name in _FIELD_TYPES:
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         if self.kind not in EXPERIMENTS:
             kinds = tuple(EXPERIMENTS)
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {kinds}")
         reads = EXPERIMENTS[self.kind].fields
         if self.preset not in (*PRESETS, "all"):
             raise ValueError(f"unknown preset {self.preset!r}")
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            hint = _FIELD_TYPES[field.name]
-            if hint in _SCALAR_TYPES and (
-                isinstance(value, (bool, np.bool_)) != (hint is bool)
-                or not isinstance(value, _SCALAR_TYPES[hint][0])
-            ):
-                raise ValueError(f"{field.name} must be {_SCALAR_TYPES[hint][1]}, got {value!r}")
-            if isinstance(field.default, tuple) and not isinstance(value, tuple):
-                # A list or an array is kept as a tuple of Python scalars, so
-                # it is checked, hashed and serialized as the parsed value is.
-                value = tuple(np.asarray(value).tolist())
-                object.__setattr__(self, field.name, value)
-            if isinstance(value, tuple) and not value:
-                raise ValueError(f"{field.name} must not be empty")
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in values):
-                raise ValueError(f"{field.name} must be finite, got {_format_value(value)}")
-        for name in ("wavelength", "T", "R", "D", "spacing", "slot", "drop_db"):
-            if not getattr(self, name) > 0:
+        for name in ("wavelength", "T", "R", "D", "spacing", "slot", "drop_db", "distances"):
+            if not np.all(np.greater(getattr(self, name), 0)):
                 raise ValueError(f"{name} must be positive")
         if self.threshold_db > 0:
             raise ValueError("threshold_db must be <= 0 dB")
@@ -160,12 +146,7 @@ class ExperimentConfig:
         if self.resolution < 32:
             raise ValueError("resolution must be at least 32 samples per axis")
         if "slot" in reads:
-            if self.slot > self.R:
-                raise ValueError("slot must be at most the receive radius R")
-            wavelength = self.wavelength
-            check_chunk_budget(self.R * wavelength, self.slot * wavelength, wavelength)
-        if not all(distance > 0 for distance in self.distances):
-            raise ValueError("distances must be positive")
+            slot_grid(self.R * self.wavelength, self.slot * self.wavelength, self.wavelength)
         for _, T, R, D in _links(self) if "spacing" in reads else ():
             check_lattice(*(v * self.wavelength for v in (T, R, D, self.spacing)), self.wavelength)
         check_strategies(self.strategies)
@@ -180,16 +161,10 @@ class ExperimentConfig:
         return Scenario.normalized(self.T, self.R, self.D, wavelength=self.wavelength)
 
 
-#: Config field -> its type annotation.
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
-#: Scalar field type -> (the value types it takes, its name in errors).  A
-#: bool field takes bools only and no other field takes one.
-_SCALAR_TYPES = {
-    bool: ((bool, np.bool_), "a bool"),
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a real number"),
-    str: (str, "a string"),
+#: Config field -> (its scalar type, whether the field holds a tuple of them).
+_FIELD_TYPES = {
+    name: (typing.get_args(hint)[0], True) if typing.get_origin(hint) is tuple else (hint, False)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -209,12 +184,10 @@ def default_config(kind: str, **overrides) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+    if isinstance(value, float):
+        return format(value, ".12g")
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
@@ -229,23 +202,57 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _tuple_parser(item):
-    def parse(raw: str) -> tuple:
-        parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-        return tuple(item(p) for p in parts)
+#: Scalar field type -> (parser of its text, the value types it takes, its
+#: name in errors): the one statement of the type rule.  A bool field takes
+#: bools only and no other field takes one.
+_SCALARS = {
+    bool: (_parse_bool, (bool, np.bool_), "a bool"),
+    int: (int, numbers.Integral, "an integer"),
+    float: (float, numbers.Real, "a real number"),
+    str: (str, str, "a string"),
+}
 
-    parse.__name__ = f"{item.__name__} list"  # argparse names the type in errors
+
+def _checked(name: str, value):
+    """``value`` of field ``name`` as the plain Python value the config
+    stores.  Each scalar, and each item of a tuple field's tuple, list or
+    array, must take its type's :data:`_SCALARS` rule; floats are finite."""
+    scalar, is_tuple = _FIELD_TYPES[name]
+    _, accepted, what = _SCALARS[scalar]
+    items = [value]
+    if is_tuple:
+        items = value.tolist() if isinstance(value, np.ndarray) else value
+        if not isinstance(items, (tuple, list)):
+            raise ValueError(f"{name} must be a tuple, list or array, got {value!r}")
+        if not items:
+            raise ValueError(f"{name} must not be empty")
+    for item in items:
+        if isinstance(item, (bool, np.bool_)) != (scalar is bool) or not isinstance(item, accepted):
+            item_of = f"each item of {name}" if is_tuple else name
+            raise ValueError(f"{item_of} must be {what}, got {item!r}")
+    plain = tuple(scalar(item) for item in items)
+    if not all(math.isfinite(v) for v in plain if isinstance(v, float)):
+        raise ValueError(f"{name} must be finite, got {_format_value(plain)}")
+    return plain if is_tuple else plain[0]
+
+
+def _field_parser(name: str):
+    """Parser of a field's text: its scalar type's, or for a tuple field one
+    that parses each comma-separated item with it."""
+    scalar, is_tuple = _FIELD_TYPES[name]
+    parse_item = _SCALARS[scalar][0]
+    if not is_tuple:
+        return parse_item
+
+    def parse(raw: str) -> tuple:
+        return tuple(parse_item(p.strip()) for p in raw.split(",") if p.strip())
+
+    parse.__name__ = f"{parse_item.__name__} list"  # argparse names the type in errors
     return parse
 
 
-def _field_parser(hint):
-    if typing.get_origin(hint) is tuple:
-        return _tuple_parser(typing.get_args(hint)[0])
-    return _parse_bool if hint is bool else hint
-
-
 #: Config key -> parser of its text value, from the field annotations.
-FIELD_PARSERS = {name: _field_parser(hint) for name, hint in _FIELD_TYPES.items()}
+FIELD_PARSERS = {name: _field_parser(name) for name in _FIELD_TYPES}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -304,13 +311,6 @@ def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     return dataclasses.replace(config, **parsed)
 
 
-def _metadata_lines(config: ExperimentConfig, extra: dict | None = None):
-    lines = [f"# {line}" for line in serialize_config(config).splitlines()]
-    for key in sorted(extra or {}):
-        lines.append(f"# {key} = {_format_value(extra[key])}")
-    return lines
-
-
 #: Cell format per numpy dtype kind.  ``%.12g`` renders a float exactly as
 #: ``format(x, ".12g")`` does, and ``%d`` an integer as ``str`` does.
 _CELL_FORMATS = {"f": "%.12g", "i": "%d", "U": "%s"}
@@ -357,7 +357,8 @@ def _write_csv(
     :func:`_format_rows`.  A caller that renders its own ``rows`` text passes
     the header names alone.
     """
-    lines = _metadata_lines(config, extra)
+    lines = [f"# {line}" for line in serialize_config(config).splitlines()]
+    lines += [f"# {key} = {_format_value(extra[key])}" for key in sorted(extra or {})]
     lines.append(",".join(columns))
     if rows is None:
         rows = _format_rows(columns.values())

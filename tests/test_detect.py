@@ -21,7 +21,6 @@ from oamlis.detect import (
     BerCurve,
     NoiseModel,
     ber_curves,
-    check_chunk_budget,
     ed_ber,
     gaussian_ber,
     interval_mask,
@@ -70,11 +69,11 @@ def test_noise_model_variance_law():
 
 def test_chunk_budget_counts_slots_as_the_grid_does():
     # 10,737 real parts of 25,000 trials fit in 2 GiB, 10,738 do not.
-    check_chunk_budget(10_737.0, slot=1.0, wavelength=1.0)
+    assert len(slot_grid(10_737.0, slot=1.0, wavelength=1.0)[0]) == 10_737
     with pytest.raises(ValueError, match="10738 slots; at most 10737 slots fit"):
-        check_chunk_budget(10_738.0, slot=1.0, wavelength=1.0)
-    with pytest.raises(ValueError, match="at most the radius"):
-        check_chunk_budget(1.0, slot=2.0)
+        slot_grid(10_738.0, slot=1.0, wavelength=1.0)
+    with pytest.raises(ValueError, match="at most the receive radius"):
+        slot_grid(1.0, slot=2.0)
 
 
 def test_noise_model_validation():
@@ -591,12 +590,15 @@ def test_sweeps_check_their_receiver_inputs_before_any_radial_pass(monkeypatch):
         "charge outside the mode set": dict(branches=[(7, "ed_full")]),
         "slot past the chunk budget": dict(slot=1e-5),
         "non-finite axis": dict(axis=[math.nan]),
+        "too few trials": dict(trials=500),
+        "no branches": dict(branches=[]),
     }
     for case, kw in bad.items():
         branches, axis = kw.pop("branches", ed), kw.pop("axis", [20.0])
+        trials = kw.pop("trials", 10_000)
         for sweep in (
-            lambda: ber_curves(s, branches, axis, 10_000, **kw),
-            lambda: tnr_curves(s, branches, 19.0, axis, 10_000, **kw),
+            lambda: ber_curves(s, branches, axis, trials, **kw),
+            lambda: tnr_curves(s, branches, 19.0, axis, trials, **kw),
         ):
             with pytest.raises(ValueError):
                 sweep()

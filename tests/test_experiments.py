@@ -5,16 +5,18 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import string
 import subprocess
 import sys
 import tracemalloc
+import typing
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oamlis
@@ -23,6 +25,7 @@ from oamlis.detect import CHUNK_TRIALS, STRATEGIES, NoiseModel, ber_curves
 from oamlis.modes import disk_grid
 from oamlis.experiments import (
     EXPERIMENTS,
+    PRESETS,
     ExperimentConfig,
     _format_map,
     _format_rows,
@@ -150,6 +153,83 @@ def test_config_rejects_mistyped_scalars():
             default_config(kind, **overrides)
     # An int is a float value, and NumPy scalars keep their field's type.
     config = default_config("spectrum", T=10, D=np.float32(40.0), max_charge=np.int64(4))
+    assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, message",
+    [
+        ("ber", {"modes": (0.5, 2)}, "each item of modes must be an integer, got 0.5"),
+        ("ber", {"modes": (True,)}, "each item of modes must be an integer, got True"),
+        ("ber", {"snr_db": (True, 2.0)}, "each item of snr_db must be a real number, got True"),
+        # A fractional charge would run as l=0 under metadata that says 0.5.
+        ("profiles", {"modes": (0.5,)}, "each item of modes must be an integer, got 0.5"),
+        # A bare string is not split into letters.
+        ("ber", {"strategies": "mf"}, "strategies must be a tuple, list or array, got 'mf'"),
+        ("ber", {"tnr_db": np.array([[20.0]])}, "each item of tnr_db must be a real number"),
+    ],
+)
+def test_config_checks_each_list_item(kind, overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_config(kind, **overrides)
+
+
+def test_config_stores_numpy_values_as_plain_python_values():
+    config = default_config("ber", modes=np.array([0, 4]), T=np.float32(10.5), seed=np.int64(3))
+    assert config.modes == (0, 4) and config.T == 10.5 and config.seed == 3
+    assert [type(v) for v in (*config.modes, config.T, config.seed)] == [int, int, float, int]
+    assert parse_config(serialize_config(config)) == config
+
+
+#: Config field -> its type annotation; ``kind`` is drawn separately.
+_HINTS = {k: v for k, v in typing.get_type_hints(ExperimentConfig).items() if k != "kind"}
+#: Quarter steps up to 20: exact in float32 and in 12 significant digits,
+#: and small enough that no lattice or slot budget binds.
+_QUARTERS = st.integers(-8, 80).map(lambda k: k / 4)
+_INTS = st.one_of(st.integers(-2, 70), st.integers(10_000, 10**6))
+#: Plain and NumPy values of each scalar field type.
+_SCALARS = {
+    float: st.one_of(_QUARTERS, _QUARTERS.map(np.float32), _INTS, _INTS.map(np.int64)),
+    int: st.one_of(_INTS, _INTS.map(np.int64), _INTS.map(np.int32)),
+    bool: st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    str: st.sampled_from([*PRESETS, "all", *STRATEGIES, "bogus"]).flatmap(
+        lambda text: st.sampled_from([text, np.str_(text)])
+    ),
+}
+#: Values of no field's type, or of the wrong one for most fields.
+_WRONG = st.one_of(
+    st.sampled_from([None, "1", "true", math.nan, math.inf, np.float64(-math.inf), 1j, b"mf"]),
+    *_SCALARS.values(),
+)
+
+
+def _field_value(hint):
+    """A field's value: mostly of its type, a list, tuple or array for a
+    tuple field; sometimes a wrongly typed value or item."""
+    if typing.get_origin(hint) is not tuple:
+        return st.one_of(_SCALARS[hint], _SCALARS[hint], _WRONG)
+    items = st.lists(st.one_of(*[_SCALARS[typing.get_args(hint)[0]]] * 3, _WRONG), max_size=4)
+    return st.one_of(items.map(tuple), items, items.map(np.array), _WRONG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(EXPERIMENTS)),
+    st.lists(st.sampled_from(list(_HINTS)), unique=True, max_size=4).flatmap(
+        lambda names: st.fixed_dictionaries({name: _field_value(_HINTS[name]) for name in names})
+    ),
+)
+def test_config_holds_plain_round_tripping_values_or_names_the_field(kind, overrides):
+    try:
+        config = default_config(kind, **overrides)
+    except ValueError as err:
+        fields = "|".join(field.name for field in dataclasses.fields(ExperimentConfig))
+        assert re.search(rf"\b({fields})\b", str(err)), str(err)
+        return
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            assert type(v) in (bool, int, float, str), (field.name, value)
     assert parse_config(serialize_config(config)) == config
 
 
