@@ -230,7 +230,10 @@ def _checked(name: str, value):
         if isinstance(item, (bool, np.bool_)) != (scalar is bool) or not isinstance(item, accepted):
             item_of = f"each item of {name}" if is_tuple else name
             raise ValueError(f"{item_of} must be {what}, got {item!r}")
-    plain = tuple(scalar(item) for item in items)
+    try:
+        plain = tuple(scalar(item) for item in items)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
     if not all(math.isfinite(v) for v in plain if isinstance(v, float)):
         raise ValueError(f"{name} must be finite, got {_format_value(plain)}")
     return plain if is_tuple else plain[0]

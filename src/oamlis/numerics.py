@@ -18,8 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import special as _special
 
-#: Largest supported Bessel order; mode sweeps in the shipped experiments
-#: use |l| <= 25, the cap just guards against runaway inputs.
+#: Largest supported Bessel order.  The shipped defaults reach |l| <= 40
+#: (``dof``'s ``max_charge``); ``pathgain``'s 51 modes reach |l| <= 25.  The
+#: cap guards against runaway inputs.
 MAX_ORDER = 64
 
 

@@ -16,10 +16,14 @@ d rho (:func:`field_energies`).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
+from . import numerics
 from .geometry import Scenario
-from .numerics import _run_shares, bessel_j, panels_for_step
+from .numerics import MAX_ORDER, _run_shares, bessel_j, panels_for_step
 
 #: Default number of radial output samples on [0, R_R].
 RADIAL_SAMPLES = 1024
@@ -32,6 +36,9 @@ FOCUS_STATES = (False, True)
 #: Receive-grid rows per block when the Bessel kernel is gathered and
 #: integrated; bounds the kernel's working memory at any grid size.
 KERNEL_ROW_BLOCK = 128
+#: Factor on :func:`_mode_energy_bound` in the truncation rule of
+#: :func:`path_gains`; covers the rounding of the computed energies.
+ENERGY_BOUND_SAFETY = 4
 
 
 def standard_charges(count: int) -> list[int]:
@@ -106,6 +113,19 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
     Returns:
         Complex array of shape (len(focused), len(charges), len(grid)).
     """
+    return _radial_pass(scenario, focused, grid)(charges)
+
+
+def _radial_pass(scenario: Scenario, focused, grid):
+    """The charge-independent setup of :func:`radial_fields`: the grid check,
+    the distinct Bessel arguments, the phase and the per-state weights.
+
+    Returns ``evaluate(charges)``, which computes the fields of a list of
+    charges on that setup, in an array of shape
+    (len(focused), len(charges), len(grid)).  Every call returns the bits
+    :func:`radial_fields` would, so a caller may spend the setup on several
+    lists of charges.
+    """
     grid = default_radial_grid(scenario) if grid is None else np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > scenario.radius_rx * (1 + 1e-12)):
         raise ValueError("radial grid must lie within [0, R_R]")
@@ -129,28 +149,32 @@ def radial_fields(scenario: Scenario, charges, focused=FOCUS_STATES, grid=None) 
         else:
             chirp = np.exp(-1j * kappa * rho_t**2 / (2 * z))
         weights.append(rho_t * chirp)
-    charges = [int(ell) for ell in charges]
-    fields = np.empty((len(weights), len(charges), len(grid)), dtype=complex)
 
-    def fill(cols):
-        for col in cols:
-            ell = charges[col]
-            values = bessel_j(ell, distinct)
-            integrals = np.empty((len(weights), len(grid)), dtype=complex)
-            for start in range(0, len(grid), KERNEL_ROW_BLOCK):
-                rows = slice(start, start + KERNEL_ROW_BLOCK)
-                kernel = values[inverse[rows]]
-                for integral, weight in zip(integrals, weights):
-                    integral[rows] = np.trapezoid(weight * kernel, rho_t, axis=1)
-            # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
-            unit = (1.0, 1j, -1.0, -1j)[ell % 4]
-            prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
-            for row, integral in enumerate(integrals):
-                fields[row, col] = prefactor * phase * integral
+    def evaluate(charges) -> np.ndarray:
+        charges = [int(ell) for ell in charges]
+        fields = np.empty((len(weights), len(charges), len(grid)), dtype=complex)
 
-    # scipy's jv and numpy's gather and trapezoid release the GIL.
-    _run_shares(fill, len(charges))
-    return fields
+        def fill(cols):
+            for col in cols:
+                ell = charges[col]
+                values = bessel_j(ell, distinct)
+                integrals = np.empty((len(weights), len(grid)), dtype=complex)
+                for start in range(0, len(grid), KERNEL_ROW_BLOCK):
+                    rows = slice(start, start + KERNEL_ROW_BLOCK)
+                    kernel = values[inverse[rows]]
+                    for integral, weight in zip(integrals, weights):
+                        integral[rows] = np.trapezoid(weight * kernel, rho_t, axis=1)
+                # j^l from a lookup, not complex pow: keeps +-l bitwise degenerate.
+                unit = (1.0, 1j, -1.0, -1j)[ell % 4]
+                prefactor = unit / (2 * z * r_t * np.sqrt(np.pi))
+                for row, integral in enumerate(integrals):
+                    fields[row, col] = prefactor * phase * integral
+
+        # scipy's jv and numpy's gather and trapezoid release the GIL.
+        _run_shares(fill, len(charges))
+        return fields
+
+    return evaluate
 
 
 def _distinct_keys(keys: np.ndarray):
@@ -206,20 +230,78 @@ def path_gains(scenario: Scenario, n_modes: int, focused=FOCUS_STATES) -> np.nda
     energy is N, so the path gain is sum(E_n) / N.  N must be odd so the
     charge set is symmetric (0, +-1, ..., +-(N-1)/2).
 
+    The sum runs in standard charge order, E_0 then E_l twice for
+    l = 1, 2, ..., as one float addition after another per focus state
+    (the rounding of ``np.cumsum(energies, axis=1)[:, -1]``).  The orders
+    are evaluated in rounds of one order per CPU on one shared radial
+    setup, and the sum stops before the first order L that can no longer
+    change it:
+
+    * :func:`_mode_energy_bound` B_L bounds E_l for every l >= L, since
+      it falls with l once L > c/2, with c = kappa R_T R_R / z;
+    * ``ENERGY_BOUND_SAFETY`` B_L < spacing(S)/2 for every running sum S,
+      the factor covering the rounding of the computed energies and of
+      B_L itself.
+
+    The running sums only grow, so each later term is below half an ulp of
+    the sum it is added to, and round-to-nearest returns that sum
+    unchanged.  The result is therefore bitwise the full N-term sum.
+
     Args:
         scenario: link geometry.
-        n_modes: number of multiplexed modes, odd, >= 1.
+        n_modes: number of multiplexed modes, odd, >= 1, at most
+            2 * MAX_ORDER + 1.
         focused: focus states to evaluate.
 
     Returns:
         Path gains in (0, 1], one per focus state.
     """
-    if n_modes < 1 or n_modes % 2 == 0:
-        raise ValueError("n_modes must be odd and >= 1")
-    energies = mode_energies(scenario, standard_charges(n_modes), focused)
-    # Running sum in standard charge order: the rounding of a plain loop, not numpy's
-    # pairwise blocks.
-    return np.cumsum(energies, axis=1)[:, -1] / n_modes
+    if (
+        isinstance(n_modes, (bool, np.bool_))
+        or not isinstance(n_modes, numbers.Integral)
+        or n_modes < 1
+        or n_modes % 2 == 0
+    ):
+        raise ValueError(f"n_modes must be an odd integer >= 1, got {n_modes!r}")
+    orders = (int(n_modes) + 1) // 2
+    if orders - 1 > MAX_ORDER:
+        raise ValueError(f"Bessel order {orders - 1} outside supported range |l| <= {MAX_ORDER}")
+    c = scenario.kappa * scenario.radius_tx * scenario.radius_rx / scenario.distance
+    grid = default_radial_grid(scenario)
+    evaluate = _radial_pass(scenario, focused, grid)
+    sums = np.zeros(len(focused))
+    order = 0
+    while order < orders and (
+        order <= c / 2
+        or np.any(ENERGY_BOUND_SAFETY * _mode_energy_bound(scenario, order) >= np.spacing(sums) / 2)
+    ):
+        batch = range(order, min(order + numerics._worker_count(), orders))
+        energies = field_energies(evaluate(batch), grid)
+        for ell, column in zip(batch, energies.T):
+            sums += column
+            if ell:
+                sums += column
+        order = batch.stop
+    return sums / n_modes
+
+
+def _mode_energy_bound(scenario: Scenario, order: int) -> float:
+    """Upper bound on the received energy E_l of charge +-l, either focus
+    state, as :func:`mode_energies` computes it.
+
+    DLMF 10.14.4 gives |J_l(x)| <= (x/2)^l / l! for x >= 0, and the Bessel
+    argument kappa rho_R rho_T / z is at most c = kappa R_T R_R / z.  The
+    trapezoid weights are positive and |chirp| = |phase| = 1, so the
+    transmit trapezoid of rho_T gives |psi_l| <= R_T / (4 z sqrt(pi)) b_l
+    with b_l = (c/2)^l / l!, and the receive trapezoid of rho_R gives
+
+        E_l <= (R_T R_R / 4z)^2 b_l^2,
+
+    which falls with l once l > c/2.
+    """
+    r_t, r_r, z = scenario.radius_tx, scenario.radius_rx, scenario.distance
+    c = scenario.kappa * r_t * r_r / z
+    return (r_t * r_r / (4 * z) * (c / 2) ** order / math.factorial(order)) ** 2
 
 
 def profile_maps(

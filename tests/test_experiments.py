@@ -141,6 +141,14 @@ def test_config_rejects_non_finite_numpy_scalars():
             default_config("spectrum", **overrides)
 
 
+def test_config_names_the_field_of_an_int_beyond_the_float_range():
+    # float(10**400) overflows; the error must still name the field.
+    for kind, overrides in (("spectrum", {"T": 10**400}), ("ber", {"snr_db": (0.0, 10**400)})):
+        (field,) = overrides
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got an integer beyond"):
+            default_config(kind, **overrides)
+
+
 def test_config_rejects_mistyped_scalars():
     # A truthy string would run focused while the metadata says false; a
     # float charge bound and a bool seed would not parse back.
@@ -198,7 +206,9 @@ _SCALARS = {
 }
 #: Values of no field's type, or of the wrong one for most fields.
 _WRONG = st.one_of(
-    st.sampled_from([None, "1", "true", math.nan, math.inf, np.float64(-math.inf), 1j, b"mf"]),
+    st.sampled_from(
+        [None, "1", "true", math.nan, math.inf, np.float64(-math.inf), 10**400, 1j, b"mf"]
+    ),
     *_SCALARS.values(),
 )
 

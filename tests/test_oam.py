@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -315,6 +315,64 @@ def test_path_gain_composition_and_validation():
         path_gains(s, 4, (True,))
     with pytest.raises(ValueError):
         path_gains(s, 0, (True,))
+
+
+def test_path_gain_rejects_bad_mode_counts_before_any_radial_pass(monkeypatch):
+    # The order cap holds whatever order the sum would stop at.
+    def no_pass(*args):
+        raise AssertionError("radial pass started")
+
+    monkeypatch.setattr(oam, "_radial_pass", no_pass)
+    s = Scenario.normalized(10, 10, 500)
+    with pytest.raises(ValueError, match=f"Bessel order {MAX_ORDER + 1} outside supported range"):
+        path_gains(s, 2 * MAX_ORDER + 3)
+    for n_modes in (True, np.bool_(True), 51.0, "51", 0, -1, 4):
+        with pytest.raises(ValueError, match="n_modes must be an odd integer"):
+            path_gains(s, n_modes)
+
+
+@st.composite
+def _links(draw):
+    """Normalized (T, R, D) with D >= 2 max(T, R)."""
+    T, R = draw(st.floats(1, 25)), draw(st.floats(1, 25))
+    return T, R, draw(st.floats(2 * max(T, R), 2000))
+
+
+@settings(max_examples=12, deadline=None)
+@given(link=_links(), n_modes=st.integers(0, 25).map(lambda k: 2 * k + 1))
+@example(link=(25.0, 5.0, 500.0), n_modes=51)
+@example(link=(12.0, 12.0, 24.0), n_modes=31)
+def test_path_gains_bitwise_equal_to_full_sum(link, n_modes):
+    # The sum stops at the first order that cannot change it, so it must
+    # equal every bit of the running sum over all N energies.
+    s = Scenario.normalized(*link)
+    energies = mode_energies(s, standard_charges(n_modes))
+    assert_array_equal(path_gains(s, n_modes), np.cumsum(energies, axis=1)[:, -1] / n_modes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(link=_links())
+@example(link=(1.0, 1.0, 2000.0))
+@example(link=(25.0, 25.0, 50.0))
+def test_mode_energies_within_their_bound(link):
+    # The truncation rule rests on E_l <= (R_T R_R / 4z)^2 ((c/2)^l / l!)^2,
+    # tight at l = 0 as c -> 0.  Checked without the safety factor.
+    s = Scenario.normalized(*link)
+    orders = range(13)
+    energies = mode_energies(s, orders)
+    bounds = [oam._mode_energy_bound(s, ell) for ell in orders]
+    assert np.all(energies <= bounds)
+
+
+def test_path_gains_bitwise_equal_on_any_worker_count(monkeypatch):
+    # The worker count sets the round size, so the order the sum stops at.
+    s = Scenario.normalized(25, 5, 500)
+    gains = []
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(numerics, "_worker_count", lambda: workers)
+        gains.append(path_gains(s, 51))
+    assert_array_equal(gains[1], gains[0])
+    assert_array_equal(gains[2], gains[0])
 
 
 def test_profile_grids_shapes_and_masking():
