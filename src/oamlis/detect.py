@@ -61,6 +61,8 @@ NOISE_ROW_BLOCK = 2048
 _CHUNK_BUDGET_BYTES = 2 * 1024**3
 #: Fewest Monte Carlo trials per point that a sweep accepts.
 MIN_TRIALS = 10000
+#: Most Monte Carlo trials per point that a sweep accepts: 40,000 chunks.
+MAX_TRIALS = 10**9
 #: OOK "one" amplitude; average symbol energy then matches unit-amplitude BPSK.
 OOK_ONE_AMPLITUDE = math.sqrt(2.0)
 #: Golden-section steps of :func:`optimize_threshold`.
@@ -119,6 +121,15 @@ def check_strategies(names) -> None:
     unknown = [name for name in names if name not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies {unknown}; expected names from {sorted(STRATEGIES)}")
+
+
+def check_trials(trials: int) -> None:
+    """Raise ValueError unless a sweep takes ``trials`` Monte Carlo trials
+    per point: from MIN_TRIALS to MAX_TRIALS."""
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)
@@ -494,9 +505,8 @@ def _db_axis(values, name: str) -> np.ndarray:
 
 def _chunk_sizes(trials: int) -> list[int]:
     """Trials of each Monte Carlo chunk of a point: CHUNK_TRIALS each, then
-    the rest.  Raises unless ``trials`` is at least MIN_TRIALS."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"at least {MIN_TRIALS} trials per point are required")
+    the rest.  Raises unless :func:`check_trials` takes ``trials``."""
+    check_trials(trials)
     full, rest = divmod(trials, CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
@@ -565,7 +575,7 @@ def ber_curves(
         branches: (charge, strategy name) pairs, each name a key of
             :data:`STRATEGIES`; every charge must belong to ``mode_set``.
         snr_db_list: link SNR axis in dB.
-        trials: Monte Carlo symbols per point (>= MIN_TRIALS).
+        trials: Monte Carlo symbols per point, MIN_TRIALS to MAX_TRIALS.
         seed: master seed; point and chunk streams are spawned from it.
         focused: transmit focusing of the whole mode set.
         mode_set: multiplexed charges defining E_s.

@@ -30,11 +30,11 @@ import numpy as np
 from .detect import (
     DEFAULT_DROP_DB,
     DEFAULT_MODE_SET,
-    MIN_TRIALS,
     SLOT_WAVELENGTH_FRACTION,
     STRATEGIES,
     ber_curves,
     check_strategies,
+    check_trials,
     slot_grid,
     tnr_curves,
 )
@@ -128,8 +128,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.threshold_db > 0:
             raise ValueError("threshold_db must be <= 0 dB")
-        if self.trials < MIN_TRIALS:
-            raise ValueError(f"trials must be at least {MIN_TRIALS}")
+        check_trials(self.trials)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_values < 1:

@@ -28,8 +28,13 @@ from .numerics import svd_spectrum
 #: reactive near-field terms, which is fine a few wavelengths out but not
 #: at essentially zero separation.
 _MIN_SEPARATION_WAVELENGTHS = 0.01
-#: Upper bound on the coupling-block array assembled in one piece.
+#: Upper bound on the four coupling blocks, 16 N_t N_r / 4 bytes; their
+#: assembly adds one receive-row chunk of :data:`ASSEMBLY_CHUNK_BYTES`.
 _MATRIX_BUDGET_BYTES = 2 * 1024**3
+#: Bytes of the complex quadrant-coupling rows that :func:`svd_mode_spectrum`
+#: assembles and transforms at a time (at least one row); bounds the
+#: assembly's working memory beside the blocks at any lattice size.
+ASSEMBLY_CHUNK_BYTES = 2 * 1024**2
 
 
 def check_lattice(
@@ -46,7 +51,8 @@ def check_lattice(
         )
     # Site counts estimated by disk area (a lattice holds a little more: 316
     # sites against 314.2 at a 5-wavelength radius and lambda/2 pitch); the
-    # largest array is the complex (N_r/4) x N_t receive-quadrant coupling.
+    # largest array is the four complex (N_r/4) x (N_t/4) coupling blocks,
+    # assembled one receive-row chunk at a time.
     n_t = np.pi * radius_tx**2 / spacing**2
     n_r = np.pi * radius_rx**2 / spacing**2
     required = 16 * n_t * n_r / 4
@@ -159,7 +165,9 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     transmit sites rotated by a * 90 degrees, the full matrix is block
     circulant in the C_a, and its singular values are the union of those
     of B_m = sum_a C_a e^{-j 2 pi m a / 4}, m = 0..3.  That is a quarter
-    of the matrix entries and a sixteenth of the SVD work.
+    of the matrix entries and a sixteenth of the SVD work.  The blocks are
+    filled one chunk of receive rows at a time (:data:`ASSEMBLY_CHUNK_BYTES`),
+    so beside them the assembly holds one chunk, not the whole coupling.
 
     Args:
         scenario: link geometry.
@@ -179,7 +187,12 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     grid_t = disk_grid(scenario.radius_tx, spacing)
     sites_r, weight_r = disk_grid(scenario.radius_rx, spacing)
     quadrant_r = sites_r[: len(sites_r) // 4]
-    couplings = coupling_matrix(grid_t, (quadrant_r, weight_r), scenario.kappa, scenario.distance)
-    blocks = np.fft.fft(couplings.reshape(len(quadrant_r), 4, -1), axis=1)
-    values = np.concatenate([svd_spectrum(blocks[:, m, :]) for m in range(4)])
+    blocks = np.empty((4, len(quadrant_r), len(grid_t[0]) // 4), dtype=complex)
+    rows = max(1, ASSEMBLY_CHUNK_BYTES // (16 * len(grid_t[0])))
+    for start in range(0, len(quadrant_r), rows):
+        chunk = (quadrant_r[start : start + rows], weight_r)
+        couplings = coupling_matrix(grid_t, chunk, scenario.kappa, scenario.distance)
+        turns = np.fft.fft(couplings.reshape(len(chunk[0]), 4, -1), axis=1)
+        blocks[:, start : start + rows] = turns.transpose(1, 0, 2)
+    values = np.concatenate([svd_spectrum(block) for block in blocks])
     return np.sort(values)[::-1]

@@ -16,6 +16,8 @@ from oamlis import Scenario, detect, numerics, oam
 from oamlis.detect import (
     CHUNK_TRIALS,
     DEFAULT_MODE_SET,
+    MAX_TRIALS,
+    MIN_TRIALS,
     OOK_ONE_AMPLITUDE,
     STRATEGIES,
     BerCurve,
@@ -424,6 +426,25 @@ def test_ber_monte_carlo_input_validation():
         ber_curves(s, [(0, "mf")], [6.0], trials=500)
     with pytest.raises(ValueError):
         ber_curves(s, [(7, "mf")], [6.0], trials=20_000)
+
+
+def test_chunk_sizes_take_trials_from_the_floor_to_the_ceiling():
+    # The ceiling keeps the chunk list short; a count above it, even one
+    # beyond an index-sized integer, is the config's ValueError, not an
+    # OverflowError or MemoryError from building the list.
+    sizes = detect._chunk_sizes(MAX_TRIALS)
+    assert len(sizes) == MAX_TRIALS // CHUNK_TRIALS and sum(sizes) == MAX_TRIALS
+    assert detect._chunk_sizes(MIN_TRIALS) == [MIN_TRIALS]
+    for trials in (MAX_TRIALS + 1, 2**63, 10**400):
+        with pytest.raises(ValueError, match=f"^trials must be at most {MAX_TRIALS}$"):
+            detect._chunk_sizes(trials)
+    with pytest.raises(ValueError, match=f"^trials must be at least {MIN_TRIALS}$"):
+        detect._chunk_sizes(MIN_TRIALS - 1)
+    s = Scenario.normalized(10, 10, 100)
+    with pytest.raises(ValueError, match="at most"):
+        ber_curves(s, [(0, "mf")], [6.0], trials=10**400)
+    with pytest.raises(ValueError, match="at most"):
+        tnr_curves(s, [(0, "ed_full")], 19.0, [25.0], trials=2**63)
 
 
 def test_ber_monte_carlo_is_deterministic():

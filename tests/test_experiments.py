@@ -149,6 +149,16 @@ def test_config_names_the_field_of_an_int_beyond_the_float_range():
             default_config(kind, **overrides)
 
 
+def test_config_rejects_trials_above_the_ceiling():
+    # Counts past the ceiling, one of them beyond an index-sized integer,
+    # fail when the config is built, naming the field.
+    assert default_config("ber", trials=detect.MAX_TRIALS).trials == detect.MAX_TRIALS
+    for trials in (detect.MAX_TRIALS + 1, 2**63, 10**400):
+        for kind in ("ber", "tnr"):
+            with pytest.raises(ValueError, match="^trials must be at most 1000000000$"):
+                default_config(kind, trials=trials)
+
+
 def test_config_rejects_mistyped_scalars():
     # A truthy string would run focused while the metadata says false; a
     # float charge bound and a bool seed would not parse back.
@@ -614,6 +624,8 @@ BAD_BER_FLAGS = {
     ("--seed", "-1"): "seed must be non-negative",
     ("--modes", "0,65", "--strategies", "mf"): "modes must have |charge| <= 64",
     ("--trials", "500"): "trials must be at least 10000",
+    ("--trials", "1000000001"): "trials must be at most 1000000000",
+    ("--trials", str(10**400)): "trials must be at most 1000000000",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for surface discretization, the coupling operator and mode counting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,67 @@ def test_blocked_spectrum_matches_full_lattice_svd(T, R, D, pitch):
     assert blocked.shape == full.shape
     assert np.max(np.abs(blocked - full)) <= 1e-12 * full[0]
     assert _svd_count(blocked) == _svd_count(full)
+
+
+@pytest.mark.parametrize(
+    "T, R, D, chunk_rows",
+    [(3, 3, 10, 3.5), (3, 3, 10, 0.5), (4, 6, 30, 5.5), (5, 2.5, 40, 3.5)],
+)
+def test_blocks_assembled_in_row_chunks_equal_the_one_piece_assembly(
+    monkeypatch, T, R, D, chunk_rows
+):
+    # Chunks of a few receive rows (at least one, however small the byte
+    # size) that do not divide the quadrant give the blocks and spectrum of
+    # the whole quadrant coupling transformed at once, bit for bit.
+    s = Scenario.normalized(T, R, D)
+    spacing = s.wavelength / 2
+    grid_t = disk_grid(s.radius_tx, spacing)
+    sites_r, weight_r = disk_grid(s.radius_rx, spacing)
+    quadrant = sites_r[: len(sites_r) // 4]
+    whole = coupling_matrix(grid_t, (quadrant, weight_r), s.kappa, s.distance)
+    reference = np.fft.fft(whole.reshape(len(quadrant), 4, -1), axis=1)
+    spectrum = np.sort(np.concatenate([svd_spectrum(reference[:, m]) for m in range(4)]))[::-1]
+
+    rows, blocks = [], []
+
+    def chunk_coupling(grid_t, grid_r, kappa, separation):
+        rows.append(len(grid_r[0]))
+        return coupling_matrix(grid_t, grid_r, kappa, separation)
+
+    def block_spectrum(block):
+        blocks.append(block.copy())
+        return svd_spectrum(block)
+
+    monkeypatch.setattr(modes, "ASSEMBLY_CHUNK_BYTES", int(chunk_rows * 16 * len(grid_t[0])))
+    monkeypatch.setattr(modes, "coupling_matrix", chunk_coupling)
+    monkeypatch.setattr(modes, "svd_spectrum", block_spectrum)
+    result = svd_mode_spectrum(s)
+
+    size = max(1, int(chunk_rows))
+    full, rest = divmod(len(quadrant), size)
+    assert rest or size == 1  # a short last chunk, unless chunks are single rows
+    assert rows == [size] * full + [rest] * (rest > 0)
+    assert len(blocks) == 4
+    for m, block in enumerate(blocks):
+        assert block.tobytes() == np.ascontiguousarray(reference[:, m]).tobytes()
+    assert result.tobytes() == spectrum.tobytes()
+
+
+def test_spectrum_assembly_peak_memory_stays_near_the_blocks():
+    # Beside the four complex (N_r/4) x (N_t/4) blocks, 16 N_t N_r / 4
+    # bytes, the assembly holds one receive-row chunk and the SVD one block's
+    # copy, not the whole quadrant coupling and its DFT (3.5x the blocks).
+    s = Scenario.normalized(15, 15, 50)
+    spacing = s.wavelength / 2
+    n_t, n_r = (len(disk_grid(radius, spacing)[0]) for radius in (s.radius_tx, s.radius_rx))
+    svd_mode_spectrum(Scenario.normalized(3, 3, 10))  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        svd_mode_spectrum(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (16 * n_t * n_r / 4)
 
 
 def test_svd_mode_spectrum_rejects_oversized_lattice(monkeypatch):
