@@ -6,12 +6,15 @@ the weighted Green matrix approximate the coupling strengths of the optimum
 communication modes, and counting the values above a threshold relative to
 the strongest one gives the number of usable spatial channels.
 
-Both lattices map onto themselves under the quarter turn (x, y) -> (-y, x),
-and the Green kernel is unchanged when both disks turn together.  The
-weighted Green matrix is therefore block circulant over the four rotation
-copies of the first-quadrant sites; a 4-point DFT over the rotation index
-splits it into four blocks, and :func:`svd_mode_spectrum` returns the union
-of the four blocks' singular values, which are those of the full matrix.
+Both lattices map onto themselves under the quarter turn (x, y) -> (-y, x)
+and the mirror (x, y) -> (y, x), which together form the dihedral group D4,
+and the Green kernel is unchanged when both disks turn or mirror together.
+The weighted Green matrix is therefore block circulant over the four
+rotation copies of the first-quadrant sites; a 4-point DFT over the
+rotation index splits it into four blocks B_0..B_3.  The mirror maps B_1
+onto B_3 and each of B_0 and B_2 onto itself, so :func:`svd_mode_spectrum`
+takes B_1's singular values twice and splits B_0 and B_2 into their
+mirror-even and mirror-odd parts; the union is the full matrix's spectrum.
 
 :func:`check_lattice` holds the rules that a lattice link must meet; the
 spectrum applies it before it builds any lattice, the config when it is made.
@@ -28,8 +31,9 @@ from .numerics import svd_spectrum
 #: reactive near-field terms, which is fine a few wavelengths out but not
 #: at essentially zero separation.
 _MIN_SEPARATION_WAVELENGTHS = 0.01
-#: Upper bound on the four coupling blocks, 16 N_t N_r / 4 bytes; their
-#: assembly adds one receive-row chunk of :data:`ASSEMBLY_CHUNK_BYTES`.
+#: Budget for the coupling blocks, checked against the conservative bound of
+#: four blocks, 16 N_t N_r / 4 bytes, though three are held; their assembly
+#: adds one receive-row chunk of :data:`ASSEMBLY_CHUNK_BYTES`.
 _MATRIX_BUDGET_BYTES = 2 * 1024**3
 #: Bytes of the complex quadrant-coupling rows that :func:`svd_mode_spectrum`
 #: assembles and transforms at a time (at least one row); bounds the
@@ -51,8 +55,9 @@ def check_lattice(
         )
     # Site counts estimated by disk area (a lattice holds a little more: 316
     # sites against 314.2 at a 5-wavelength radius and lambda/2 pitch); the
-    # largest array is the four complex (N_r/4) x (N_t/4) coupling blocks,
-    # assembled one receive-row chunk at a time.
+    # largest array is the complex (N_r/4) x (N_t/4) coupling blocks,
+    # assembled one receive-row chunk at a time.  Three are held; the rule
+    # bounds four, which is conservative.
     n_t = np.pi * radius_tx**2 / spacing**2
     n_r = np.pi * radius_rx**2 / spacing**2
     required = 16 * n_t * n_r / 4
@@ -86,9 +91,11 @@ def disk_grid(radius: float, spacing: float):
     """Square lattice clipped to a disk.
 
     Lattice sites sit at half-integer multiples of ``spacing`` (no site at
-    the center, fourfold symmetry); a site belongs to the grid when its
-    center lies inside the disk.  Use spacing = lambda/2 for the spatially
-    Nyquist-sampled default.
+    the center); a site belongs to the grid when its center lies inside
+    the disk.  Both coordinates come from one array, so the grid maps onto
+    itself exactly under the quarter turn and under the mirror
+    (x, y) -> (y, x): the symmetry group D4 of the square.  Use
+    spacing = lambda/2 for the spatially Nyquist-sampled default.
 
     Args:
         radius: disk radius in meters.
@@ -160,14 +167,31 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     """Singular values of the discretized link, largest first.
 
     Equal to the singular values of ``coupling_matrix`` on the two disk
-    lattices, computed from the four quarter-turn blocks.  With C_a the
-    coupling of the first-quadrant receive sites to the first-quadrant
-    transmit sites rotated by a * 90 degrees, the full matrix is block
-    circulant in the C_a, and its singular values are the union of those
-    of B_m = sum_a C_a e^{-j 2 pi m a / 4}, m = 0..3.  That is a quarter
-    of the matrix entries and a sixteenth of the SVD work.  The blocks are
-    filled one chunk of receive rows at a time (:data:`ASSEMBLY_CHUNK_BYTES`),
-    so beside them the assembly holds one chunk, not the whole coupling.
+    lattices, computed from the quarter-turn blocks and the mirror.  With
+    C_a the coupling of the first-quadrant receive sites to the
+    first-quadrant transmit sites rotated by a * 90 degrees, the full
+    matrix is block circulant in the C_a, and its singular values are the
+    union of those of B_m = sum_a C_a e^{-j 2 pi m a / 4}, m = 0..3.
+    The mirror sigma: (x, y) -> (y, x) permutes the first-quadrant sites
+    and turns a rotation by a into one by -a, so sigma C_a sigma = C_{-a}:
+    B_3 is sigma B_1 sigma, with B_1's singular values, and B_0 and B_2
+    are sigma-invariant.  Each of those two is the direct sum of its
+    sigma-even and sigma-odd parts, in the basis of the diagonal sites
+    (x = y) and the pairs (u +- sigma u)/sqrt(2).  So only B_0, B_1 and
+    B_2 are built (from a quarter of the matrix entries), and the SVD work
+    is one B_1 and four parts of about half its size: 3/128 of the full
+    lattice SVD.  The blocks are filled one chunk of receive rows at a time
+    (:data:`ASSEMBLY_CHUNK_BYTES`), so beside them the assembly holds one
+    chunk, not the whole coupling.
+
+    The parts lose no value.  At one pitch the smaller disk's first-quadrant
+    sites are a subset of the larger's, so its counts of diagonal sites and
+    of pairs are both at most the larger's.  The even part of a block has
+    min(d_r + p_r, d_t + p_t) singular values and the odd part
+    min(p_r, p_t), for d diagonal sites and p pairs on each side, and these
+    add to min(n_r, n_t) = min(d_r + 2 p_r, d_t + 2 p_t): the spectrum has
+    min(N_r, N_t) values, as the full matrix does.  A quadrant that holds
+    only diagonal sites gives an empty odd part, which is skipped.
 
     Args:
         scenario: link geometry.
@@ -186,13 +210,56 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     )
     grid_t = disk_grid(scenario.radius_tx, spacing)
     sites_r, weight_r = disk_grid(scenario.radius_rx, spacing)
+    quadrant_t = grid_t[0][: len(grid_t[0]) // 4]
     quadrant_r = sites_r[: len(sites_r) // 4]
-    blocks = np.empty((4, len(quadrant_r), len(grid_t[0]) // 4), dtype=complex)
+    blocks = np.empty((3, len(quadrant_r), len(quadrant_t)), dtype=complex)
     rows = max(1, ASSEMBLY_CHUNK_BYTES // (16 * len(grid_t[0])))
     for start in range(0, len(quadrant_r), rows):
         chunk = (quadrant_r[start : start + rows], weight_r)
         couplings = coupling_matrix(grid_t, chunk, scenario.kappa, scenario.distance)
         turns = np.fft.fft(couplings.reshape(len(chunk[0]), 4, -1), axis=1)
-        blocks[:, start : start + rows] = turns.transpose(1, 0, 2)
-    values = np.concatenate([svd_spectrum(block) for block in blocks])
-    return np.sort(values)[::-1]
+        blocks[:, start : start + rows] = turns[:, :3].transpose(1, 0, 2)
+    orbits_r, orbits_t = _mirror_orbits(quadrant_r), _mirror_orbits(quadrant_t)
+    turn = svd_spectrum(blocks[1])
+    values = [turn, turn]
+    for m in (0, 2):
+        parts = _mirror_parts(blocks[m], orbits_r, orbits_t)
+        values += [svd_spectrum(part) for part in parts if part.size]
+    return np.sort(np.concatenate(values))[::-1]
+
+
+def _mirror_orbits(quadrant: np.ndarray):
+    """The orbits of the mirror (x, y) -> (y, x) on :func:`disk_grid`'s
+    first-quadrant sites: (diagonal, pair, image) index arrays, the sites
+    on x = y, and each off-diagonal pair u < sigma(u) as u and sigma(u).
+
+    The sites are in row-major order, y before x.  Sorted x before y, they
+    come out as the mirror images of that order, so the k-th sorted index
+    is that of site k's image.  Both coordinates come from one array, so
+    the mirror maps the sites onto each other exactly."""
+    image = np.lexsort((quadrant[:, 1], quadrant[:, 0]))
+    index = np.arange(len(quadrant))
+    pair = index[image > index]
+    return index[image == index], pair, image[pair]
+
+
+def _mirror_parts(block: np.ndarray, orbits_r, orbits_t):
+    """The (even, odd) parts of a mirror-invariant block.
+
+    In the orthonormal basis of the diagonal sites and the pair vectors
+    (u +- sigma u)/sqrt(2) on both sides, a block with B[sigma i, sigma j]
+    = B[i, j] is the direct sum of its even-even and odd-odd parts, so its
+    singular values are the union of theirs.  The same invariance reduces
+    each entry of a part to the rows of the diagonal sites and of each
+    pair's u: the even part is [[B_dd, sqrt2 B_du], [sqrt2 B_ud,
+    B_uu + B_u(sigma u)]] and the odd part B_uu - B_u(sigma u)."""
+    (diag_r, pair_r, _), (diag_t, pair_t, image_t) = orbits_r, orbits_t
+    diag, pair = block[diag_r], block[pair_r]
+    root2 = np.sqrt(2)
+    even = np.block(
+        [
+            [diag[:, diag_t], root2 * diag[:, pair_t]],
+            [root2 * pair[:, diag_t], pair[:, pair_t] + pair[:, image_t]],
+        ]
+    )
+    return even, pair[:, pair_t] - pair[:, image_t]

@@ -202,6 +202,83 @@ def test_blocked_spectrum_matches_full_lattice_svd(T, R, D, pitch):
     assert _svd_count(blocked) == _svd_count(full)
 
 
+def _quadrant_blocks(s, spacing):
+    """The four rotation blocks of the whole quadrant coupling, transformed
+    at once, with the first-quadrant receive and transmit sites."""
+    grid_t = disk_grid(s.radius_tx, spacing)
+    sites_r, weight_r = disk_grid(s.radius_rx, spacing)
+    quadrant_r = sites_r[: len(sites_r) // 4]
+    quadrant_t = grid_t[0][: len(grid_t[0]) // 4]
+    whole = coupling_matrix(grid_t, (quadrant_r, weight_r), s.kappa, s.distance)
+    blocks = np.fft.fft(whole.reshape(len(quadrant_r), 4, -1), axis=1).transpose(1, 0, 2)
+    return blocks, quadrant_r, quadrant_t
+
+
+def _mirror_permutation(quadrant):
+    """Index of each site's mirror image (x, y) -> (y, x), found by its
+    coordinates."""
+    place = {tuple(site): k for k, site in enumerate(quadrant)}
+    return np.array([place[(y, x)] for x, y in quadrant])
+
+
+def _diagonal_and_pairs(quadrant):
+    """Counts of the sites on x = y and of the mirror pairs off it."""
+    diagonal = int(np.count_nonzero(quadrant[:, 0] == quadrant[:, 1]))
+    return diagonal, (len(quadrant) - diagonal) // 2
+
+
+@given(
+    T=st.floats(1.0, 4.0),
+    R=st.floats(1.0, 4.0),
+    D=st.floats(5.0, 80.0),
+    pitch=st.sampled_from((1 / 2, 1 / 3, 0.4137)),
+)
+def test_mirror_maps_block_1_onto_block_3_and_keeps_blocks_0_and_2(T, R, D, pitch):
+    # The facts the skipped block and the even/odd split rest on, bit for bit.
+    s = Scenario.normalized(T, R, D)
+    blocks, quadrant_r, quadrant_t = _quadrant_blocks(s, pitch * s.wavelength)
+    mirror = np.ix_(_mirror_permutation(quadrant_r), _mirror_permutation(quadrant_t))
+    assert blocks[3].tobytes() == blocks[1][mirror].tobytes()
+    for m in (0, 2):
+        assert blocks[m].tobytes() == blocks[m][mirror].tobytes()
+
+
+@pytest.mark.parametrize(
+    "T, R, pitch",
+    [(0.4, 3, 1 / 2), (3, 0.4, 1 / 2), (0.4, 0.4, 1 / 2), (2, 5, 1 / 3), (6, 2.5, 0.4137)],
+)
+def test_mirror_split_keeps_every_value(monkeypatch, T, R, pitch):
+    # Unequal disks keep min(N_r, N_t) values; a quadrant of only its
+    # diagonal site (radius 0.4 at lambda/2) has an empty odd part, which
+    # never reaches svd_spectrum; every value of B_1 appears exactly twice.
+    s = Scenario.normalized(T, R, 20)
+    spacing = pitch * s.wavelength
+    grid_t = disk_grid(s.radius_tx, spacing)
+    grid_r = disk_grid(s.radius_rx, spacing)
+    full = svd_spectrum(coupling_matrix(grid_t, grid_r, s.kappa, s.distance))
+    shapes = []
+
+    def block_spectrum(block):
+        shapes.append(block.shape)
+        return svd_spectrum(block)
+
+    monkeypatch.setattr(modes, "svd_spectrum", block_spectrum)
+    result = svd_mode_spectrum(s, spacing)
+    assert len(result) == len(full) == min(len(grid_t[0]), len(grid_r[0]))
+    assert np.max(np.abs(result - full)) <= 1e-12 * full[0]
+    # B_1 whole, then the even and the non-empty odd part of B_0 and of B_2,
+    # with d diagonal sites and p mirror pairs on each side.
+    blocks, *quadrants = _quadrant_blocks(s, spacing)
+    (d_r, p_r), (d_t, p_t) = (_diagonal_and_pairs(quadrant) for quadrant in quadrants)
+    halves = [(d_r + p_r, d_t + p_t)] + [(p_r, p_t)] * (min(p_r, p_t) > 0)
+    assert shapes == [blocks[1].shape] + halves * 2
+    if min(T, R) == 0.4:
+        assert min(p_r, p_t) == 0
+    turn = svd_spectrum(blocks[1])
+    values, counts = np.unique(turn, return_counts=True)
+    assert [np.count_nonzero(result == value) for value in values] == list(2 * counts)
+
+
 @pytest.mark.parametrize(
     "T, R, D, chunk_rows",
     [(3, 3, 10, 3.5), (3, 3, 10, 0.5), (4, 6, 30, 5.5), (5, 2.5, 40, 3.5)],
@@ -210,46 +287,55 @@ def test_blocks_assembled_in_row_chunks_equal_the_one_piece_assembly(
     monkeypatch, T, R, D, chunk_rows
 ):
     # Chunks of a few receive rows (at least one, however small the byte
-    # size) that do not divide the quadrant give the blocks and spectrum of
-    # the whole quadrant coupling transformed at once, bit for bit.
+    # size) that do not divide the quadrant give the blocks B_0, B_1, B_2
+    # and the spectrum of the whole quadrant coupling transformed at once,
+    # bit for bit.
     s = Scenario.normalized(T, R, D)
     spacing = s.wavelength / 2
     grid_t = disk_grid(s.radius_tx, spacing)
-    sites_r, weight_r = disk_grid(s.radius_rx, spacing)
-    quadrant = sites_r[: len(sites_r) // 4]
-    whole = coupling_matrix(grid_t, (quadrant, weight_r), s.kappa, s.distance)
-    reference = np.fft.fft(whole.reshape(len(quadrant), 4, -1), axis=1)
-    spectrum = np.sort(np.concatenate([svd_spectrum(reference[:, m]) for m in range(4)]))[::-1]
+    reference, quadrant_r, quadrant_t = _quadrant_blocks(s, spacing)
+    split = modes._mirror_parts
+    orbits = [modes._mirror_orbits(quadrant) for quadrant in (quadrant_r, quadrant_t)]
+    parts = [part for m in (0, 2) for part in split(reference[m], *orbits) if part.size]
+    turn = svd_spectrum(reference[1])
+    spectrum = np.sort(np.concatenate([turn, turn] + [svd_spectrum(p) for p in parts]))[::-1]
 
-    rows, blocks = [], []
+    rows, mirrored, inputs = [], [], []
 
     def chunk_coupling(grid_t, grid_r, kappa, separation):
         rows.append(len(grid_r[0]))
         return coupling_matrix(grid_t, grid_r, kappa, separation)
 
+    def mirror_parts(block, orbits_r, orbits_t):
+        mirrored.append(block.tobytes())
+        return split(block, orbits_r, orbits_t)
+
     def block_spectrum(block):
-        blocks.append(block.copy())
+        inputs.append(block.tobytes())
         return svd_spectrum(block)
 
     monkeypatch.setattr(modes, "ASSEMBLY_CHUNK_BYTES", int(chunk_rows * 16 * len(grid_t[0])))
     monkeypatch.setattr(modes, "coupling_matrix", chunk_coupling)
+    monkeypatch.setattr(modes, "_mirror_parts", mirror_parts)
     monkeypatch.setattr(modes, "svd_spectrum", block_spectrum)
     result = svd_mode_spectrum(s)
 
     size = max(1, int(chunk_rows))
-    full, rest = divmod(len(quadrant), size)
+    full, rest = divmod(len(quadrant_r), size)
     assert rest or size == 1  # a short last chunk, unless chunks are single rows
     assert rows == [size] * full + [rest] * (rest > 0)
-    assert len(blocks) == 4
-    for m, block in enumerate(blocks):
-        assert block.tobytes() == np.ascontiguousarray(reference[:, m]).tobytes()
+    assert mirrored == [reference[m].tobytes() for m in (0, 2)]
+    assert sorted(inputs) == sorted(
+        [reference[1].tobytes()] + [part.tobytes() for part in parts]
+    )
     assert result.tobytes() == spectrum.tobytes()
 
 
 def test_spectrum_assembly_peak_memory_stays_near_the_blocks():
-    # Beside the four complex (N_r/4) x (N_t/4) blocks, 16 N_t N_r / 4
-    # bytes, the assembly holds one receive-row chunk and the SVD one block's
-    # copy, not the whole quadrant coupling and its DFT (3.5x the blocks).
+    # Against the bound of four complex (N_r/4) x (N_t/4) blocks,
+    # 16 N_t N_r / 4 bytes: beside the three blocks it holds, the spectrum
+    # holds one receive-row chunk, a block's mirror parts and the SVD's copy,
+    # not the whole quadrant coupling and its DFT (3.5x the four blocks).
     s = Scenario.normalized(15, 15, 50)
     spacing = s.wavelength / 2
     n_t, n_r = (len(disk_grid(radius, spacing)[0]) for radius in (s.radius_tx, s.radius_rx))
