@@ -15,6 +15,8 @@ rotation index splits it into four blocks B_0..B_3.  The mirror maps B_1
 onto B_3 and each of B_0 and B_2 onto itself, so :func:`svd_mode_spectrum`
 takes B_1's singular values twice and splits B_0 and B_2 into their
 mirror-even and mirror-odd parts; the union is the full matrix's spectrum.
+It builds all of them from the receive rows of one site per mirror orbit,
+about an eighth of the full matrix's entries.
 
 :func:`check_lattice` holds the rules that a lattice link must meet; the
 spectrum applies it before it builds any lattice, the config when it is made.
@@ -32,13 +34,15 @@ from .numerics import svd_spectrum
 #: at essentially zero separation.
 _MIN_SEPARATION_WAVELENGTHS = 0.01
 #: Budget for the coupling blocks, checked against the conservative bound of
-#: four blocks, 16 N_t N_r / 4 bytes, though three are held; their assembly
-#: adds one receive-row chunk of :data:`ASSEMBLY_CHUNK_BYTES`.
+#: four blocks, 16 N_t N_r / 4 bytes, though B_1 and the mirror parts of B_0
+#: and B_2, about two blocks, are held; their assembly adds one receive-row
+#: chunk of :data:`ASSEMBLY_CHUNK_BYTES`, and B_1's SVD its own copy of B_1.
 _MATRIX_BUDGET_BYTES = 2 * 1024**3
 #: Bytes of the complex quadrant-coupling rows that :func:`svd_mode_spectrum`
 #: assembles and transforms at a time (at least one row); bounds the
 #: assembly's working memory beside the blocks at any lattice size.
-ASSEMBLY_CHUNK_BYTES = 2 * 1024**2
+#: ``coupling_matrix``'s temporaries are about four times a chunk.
+ASSEMBLY_CHUNK_BYTES = 512 * 1024
 
 
 def check_lattice(
@@ -56,8 +60,9 @@ def check_lattice(
     # Site counts estimated by disk area (a lattice holds a little more: 316
     # sites against 314.2 at a 5-wavelength radius and lambda/2 pitch); the
     # largest array is the complex (N_r/4) x (N_t/4) coupling blocks,
-    # assembled one receive-row chunk at a time.  Three are held; the rule
-    # bounds four, which is conservative.
+    # assembled one receive-row chunk at a time.  B_1 and the mirror parts
+    # of B_0 and B_2 are held, about two blocks; the rule bounds four, which
+    # is conservative.
     n_t = np.pi * radius_tx**2 / spacing**2
     n_r = np.pi * radius_rx**2 / spacing**2
     required = 16 * n_t * n_r / 4
@@ -177,12 +182,20 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     B_3 is sigma B_1 sigma, with B_1's singular values, and B_0 and B_2
     are sigma-invariant.  Each of those two is the direct sum of its
     sigma-even and sigma-odd parts, in the basis of the diagonal sites
-    (x = y) and the pairs (u +- sigma u)/sqrt(2).  So only B_0, B_1 and
-    B_2 are built (from a quarter of the matrix entries), and the SVD work
-    is one B_1 and four parts of about half its size: 3/128 of the full
-    lattice SVD.  The blocks are filled one chunk of receive rows at a time
-    (:data:`ASSEMBLY_CHUNK_BYTES`), so beside them the assembly holds one
-    chunk, not the whole coupling.
+    (x = y) and the pairs (u +- sigma u)/sqrt(2).  The SVD work is one B_1
+    and four parts of about half its size: 3/128 of the full lattice SVD.
+
+    Only the receive rows that represent the mirror's orbits, the diagonal
+    sites and each pair's u, reach ``coupling_matrix`` (about an eighth of
+    the full matrix's entries), one chunk of :data:`ASSEMBLY_CHUNK_BYTES`
+    at a time.  Each chunk's 4-point DFT gives four lines of rows u.
+    Lines 0 and 2 go straight into the even and odd parts of B_0 and B_2,
+    which need only those rows.  Line 1 fills B_1's rows u, and line 3
+    its rows sigma u, since B_1[sigma u, w] = B_3[u, sigma w] by the
+    mirror relation.  So B_1 and the four parts are held, about half the
+    four blocks' size, and neither B_0, B_2 nor B_3 is ever built.  The
+    parts' SVDs come first and the parts are freed before B_1's SVD,
+    which adds the SVD's own copy of B_1.
 
     The parts lose no value.  At one pitch the smaller disk's first-quadrant
     sites are a subset of the larger's, so its counts of diagonal sites and
@@ -208,30 +221,50 @@ def svd_mode_spectrum(scenario: Scenario, spacing: float | None = None) -> np.nd
     check_lattice(
         scenario.radius_tx, scenario.radius_rx, scenario.distance, spacing, scenario.wavelength
     )
+    turn, parts = _mirror_blocks(scenario, spacing)
+    values = [svd_spectrum(part) for part in parts if part.size]
+    del parts
+    turn_values = svd_spectrum(turn)
+    return np.sort(np.concatenate(values + [turn_values, turn_values]))[::-1]
+
+
+def _mirror_blocks(scenario: Scenario, spacing: float):
+    """(B_1, [even, odd part of B_0, even, odd part of B_2]) of the lattice
+    link at ``spacing``, assembled from the receive rows that represent
+    the mirror's orbits as :func:`svd_mode_spectrum` describes."""
     grid_t = disk_grid(scenario.radius_tx, spacing)
     sites_r, weight_r = disk_grid(scenario.radius_rx, spacing)
     quadrant_t = grid_t[0][: len(grid_t[0]) // 4]
     quadrant_r = sites_r[: len(sites_r) // 4]
-    blocks = np.empty((3, len(quadrant_r), len(quadrant_t)), dtype=complex)
+    (diag_r, pair_r, image_r), orbits_t = _mirror_orbits(quadrant_r), _mirror_orbits(quadrant_t)
+    diag_t, pair_t, image_t = orbits_t
+    rows_r = np.concatenate([diag_r, pair_r])
+    turn = np.empty((len(quadrant_r), len(quadrant_t)), dtype=complex)
+    even = np.empty((2, len(rows_r), len(diag_t) + len(pair_t)), dtype=complex)
+    odd = np.empty((2, len(pair_r), len(pair_t)), dtype=complex)
     rows = max(1, ASSEMBLY_CHUNK_BYTES // (16 * len(grid_t[0])))
-    for start in range(0, len(quadrant_r), rows):
-        chunk = (quadrant_r[start : start + rows], weight_r)
+    d = len(diag_r)
+    for start in range(0, len(rows_r), rows):
+        stop = min(start + rows, len(rows_r))
+        sites = rows_r[start:stop]
+        chunk = (quadrant_r[sites], weight_r)
         couplings = coupling_matrix(grid_t, chunk, scenario.kappa, scenario.distance)
-        turns = np.fft.fft(couplings.reshape(len(chunk[0]), 4, -1), axis=1)
-        blocks[:, start : start + rows] = turns[:, :3].transpose(1, 0, 2)
-    orbits_r, orbits_t = _mirror_orbits(quadrant_r), _mirror_orbits(quadrant_t)
-    turn = svd_spectrum(blocks[1])
-    values = [turn, turn]
-    for m in (0, 2):
-        parts = _mirror_parts(blocks[m], orbits_r, orbits_t)
-        values += [svd_spectrum(part) for part in parts if part.size]
-    return np.sort(np.concatenate(values))[::-1]
+        lines = np.fft.fft(couplings.reshape(len(sites), 4, -1), axis=1)
+        split = min(max(start, d), stop) - start  # the chunk's diagonal sites come first
+        for k, m in enumerate((0, 2)):
+            even[k, start:stop], odd[k, max(start, d) - d : max(stop, d) - d] = _mirror_parts(
+                lines[:split, m], lines[split:, m], orbits_t
+            )
+        turn[sites] = lines[:, 1]
+        turn[image_r[sites[split:]]] = lines[split:, 3][:, image_t]
+    return turn, [even[0], odd[0], even[1], odd[1]]
 
 
 def _mirror_orbits(quadrant: np.ndarray):
     """The orbits of the mirror (x, y) -> (y, x) on :func:`disk_grid`'s
     first-quadrant sites: (diagonal, pair, image) index arrays, the sites
-    on x = y, and each off-diagonal pair u < sigma(u) as u and sigma(u).
+    on x = y, the u < sigma(u) of each off-diagonal pair, and every
+    site's image sigma(site).
 
     The sites are in row-major order, y before x.  Sorted x before y, they
     come out as the mirror images of that order, so the k-th sorted index
@@ -239,12 +272,13 @@ def _mirror_orbits(quadrant: np.ndarray):
     the mirror maps the sites onto each other exactly."""
     image = np.lexsort((quadrant[:, 1], quadrant[:, 0]))
     index = np.arange(len(quadrant))
-    pair = index[image > index]
-    return index[image == index], pair, image[pair]
+    return index[image == index], index[image > index], image
 
 
-def _mirror_parts(block: np.ndarray, orbits_r, orbits_t):
-    """The (even, odd) parts of a mirror-invariant block.
+def _mirror_parts(diag: np.ndarray, pair: np.ndarray, orbits_t):
+    """Rows of the (even, odd) parts of a mirror-invariant block B, from
+    B's rows at diagonal receive sites (``diag``) and at pairs' u
+    (``pair``), with the transmit quadrant's :func:`_mirror_orbits`.
 
     In the orthonormal basis of the diagonal sites and the pair vectors
     (u +- sigma u)/sqrt(2) on both sides, a block with B[sigma i, sigma j]
@@ -252,14 +286,17 @@ def _mirror_parts(block: np.ndarray, orbits_r, orbits_t):
     singular values are the union of theirs.  The same invariance reduces
     each entry of a part to the rows of the diagonal sites and of each
     pair's u: the even part is [[B_dd, sqrt2 B_du], [sqrt2 B_ud,
-    B_uu + B_u(sigma u)]] and the odd part B_uu - B_u(sigma u)."""
-    (diag_r, pair_r, _), (diag_t, pair_t, image_t) = orbits_r, orbits_t
-    diag, pair = block[diag_r], block[pair_r]
+    B_uu + B_u(sigma u)]] and the odd part B_uu - B_u(sigma u).  Each row
+    of a part depends on its own row of B only, so the rows of the given
+    sites come out: the even part's ``diag`` rows then its ``pair`` rows,
+    and the odd part's ``pair`` rows."""
+    diag_t, pair_t, image_t = orbits_t
+    mirror_t = image_t[pair_t]
     root2 = np.sqrt(2)
     even = np.block(
         [
             [diag[:, diag_t], root2 * diag[:, pair_t]],
-            [root2 * pair[:, diag_t], pair[:, pair_t] + pair[:, image_t]],
+            [root2 * pair[:, diag_t], pair[:, pair_t] + pair[:, mirror_t]],
         ]
     )
-    return even, pair[:, pair_t] - pair[:, image_t]
+    return even, pair[:, pair_t] - pair[:, mirror_t]

@@ -266,12 +266,12 @@ def test_mirror_split_keeps_every_value(monkeypatch, T, R, pitch):
     result = svd_mode_spectrum(s, spacing)
     assert len(result) == len(full) == min(len(grid_t[0]), len(grid_r[0]))
     assert np.max(np.abs(result - full)) <= 1e-12 * full[0]
-    # B_1 whole, then the even and the non-empty odd part of B_0 and of B_2,
+    # The even and the non-empty odd part of B_0 and of B_2, then B_1 whole,
     # with d diagonal sites and p mirror pairs on each side.
     blocks, *quadrants = _quadrant_blocks(s, spacing)
     (d_r, p_r), (d_t, p_t) = (_diagonal_and_pairs(quadrant) for quadrant in quadrants)
     halves = [(d_r + p_r, d_t + p_t)] + [(p_r, p_t)] * (min(p_r, p_t) > 0)
-    assert shapes == [blocks[1].shape] + halves * 2
+    assert shapes == halves * 2 + [blocks[1].shape]
     if min(T, R) == 0.4:
         assert min(p_r, p_t) == 0
     turn = svd_spectrum(blocks[1])
@@ -281,34 +281,38 @@ def test_mirror_split_keeps_every_value(monkeypatch, T, R, pitch):
 
 @pytest.mark.parametrize(
     "T, R, D, chunk_rows",
-    [(3, 3, 10, 3.5), (3, 3, 10, 0.5), (4, 6, 30, 5.5), (5, 2.5, 40, 3.5)],
+    [(3, 3, 10, 3.5), (3, 3, 10, 0.5), (4, 6, 30, 5.5), (4, 6, 30, 7.5), (5, 2.5, 40, 3.5)],
 )
 def test_blocks_assembled_in_row_chunks_equal_the_one_piece_assembly(
     monkeypatch, T, R, D, chunk_rows
 ):
     # Chunks of a few receive rows (at least one, however small the byte
-    # size) that do not divide the quadrant give the blocks B_0, B_1, B_2
-    # and the spectrum of the whole quadrant coupling transformed at once,
-    # bit for bit.
+    # size) give the one-piece blocks' mirror parts and B_1, and the
+    # spectrum of the whole quadrant coupling transformed at once, bit for
+    # bit, whether or not they divide the count of rows built: 16 rows in
+    # chunks of 3 and 60 in chunks of 7 leave a short last chunk, 60 in
+    # chunks of 5 and 12 in chunks of 3 do not.  Only one site of each
+    # mirror orbit of the receive quadrant (y <= x) reaches coupling_matrix,
+    # exactly once.
     s = Scenario.normalized(T, R, D)
     spacing = s.wavelength / 2
     grid_t = disk_grid(s.radius_tx, spacing)
     reference, quadrant_r, quadrant_t = _quadrant_blocks(s, spacing)
-    split = modes._mirror_parts
-    orbits = [modes._mirror_orbits(quadrant) for quadrant in (quadrant_r, quadrant_t)]
-    parts = [part for m in (0, 2) for part in split(reference[m], *orbits) if part.size]
+    (diag_r, pair_r, _), orbits_t = (modes._mirror_orbits(q) for q in (quadrant_r, quadrant_t))
+    parts = [
+        part
+        for m in (0, 2)
+        for part in modes._mirror_parts(reference[m][diag_r], reference[m][pair_r], orbits_t)
+        if part.size
+    ]
     turn = svd_spectrum(reference[1])
-    spectrum = np.sort(np.concatenate([turn, turn] + [svd_spectrum(p) for p in parts]))[::-1]
+    spectrum = np.sort(np.concatenate([svd_spectrum(p) for p in parts] + [turn, turn]))[::-1]
 
-    rows, mirrored, inputs = [], [], []
+    chunks, inputs = [], []
 
     def chunk_coupling(grid_t, grid_r, kappa, separation):
-        rows.append(len(grid_r[0]))
+        chunks.append(grid_r[0])
         return coupling_matrix(grid_t, grid_r, kappa, separation)
-
-    def mirror_parts(block, orbits_r, orbits_t):
-        mirrored.append(block.tobytes())
-        return split(block, orbits_r, orbits_t)
 
     def block_spectrum(block):
         inputs.append(block.tobytes())
@@ -316,18 +320,15 @@ def test_blocks_assembled_in_row_chunks_equal_the_one_piece_assembly(
 
     monkeypatch.setattr(modes, "ASSEMBLY_CHUNK_BYTES", int(chunk_rows * 16 * len(grid_t[0])))
     monkeypatch.setattr(modes, "coupling_matrix", chunk_coupling)
-    monkeypatch.setattr(modes, "_mirror_parts", mirror_parts)
     monkeypatch.setattr(modes, "svd_spectrum", block_spectrum)
     result = svd_mode_spectrum(s)
 
+    representatives = quadrant_r[quadrant_r[:, 1] <= quadrant_r[:, 0]]
     size = max(1, int(chunk_rows))
-    full, rest = divmod(len(quadrant_r), size)
-    assert rest or size == 1  # a short last chunk, unless chunks are single rows
-    assert rows == [size] * full + [rest] * (rest > 0)
-    assert mirrored == [reference[m].tobytes() for m in (0, 2)]
-    assert sorted(inputs) == sorted(
-        [reference[1].tobytes()] + [part.tobytes() for part in parts]
-    )
+    full, rest = divmod(len(representatives), size)
+    assert [len(chunk) for chunk in chunks] == [size] * full + [rest] * (rest > 0)
+    assert sorted(map(tuple, np.concatenate(chunks))) == sorted(map(tuple, representatives))
+    assert inputs == [part.tobytes() for part in parts] + [reference[1].tobytes()]
     assert result.tobytes() == spectrum.tobytes()
 
 
@@ -347,6 +348,56 @@ def test_spectrum_assembly_peak_memory_stays_near_the_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * (16 * n_t * n_r / 4)
+
+
+def test_spectrum_holds_b1_and_the_mirror_parts_only():
+    # B_1 and the mirror parts of B_0 and B_2 are about half the four-block
+    # bound 16 N_t N_r / 4 bytes; beside them the assembly holds one chunk
+    # of representative receive rows, and the parts are freed before B_1's
+    # SVD.  tracemalloc does not see the SVD's own copy of B_1.
+    s = Scenario.normalized(15, 15, 50)
+    spacing = s.wavelength / 2
+    n_t, n_r = (len(disk_grid(radius, spacing)[0]) for radius in (s.radius_tx, s.radius_rx))
+    svd_mode_spectrum(Scenario.normalized(3, 3, 10))  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        svd_mode_spectrum(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * (16 * n_t * n_r / 4)
+
+
+_LINKS = {
+    "T": st.floats(1.0, 6.0),
+    "R": st.floats(1.0, 6.0),
+    "ratio": st.floats(2.0, 20.0),  # D / max(T, R)
+    "pitch": st.sampled_from((1 / 2, 1 / 3)),
+}
+
+
+@given(**_LINKS)
+def test_spectrum_is_reciprocal(T, R, ratio, pitch):
+    # Swapping the disks transposes the coupling, which keeps its values.
+    D = ratio * max(T, R)
+    there, back = (Scenario.normalized(a, b, D) for a, b in ((T, R), (R, T)))
+    forward = svd_mode_spectrum(there, pitch * there.wavelength)
+    backward = svd_mode_spectrum(back, pitch * back.wavelength)
+    assert forward.shape == backward.shape
+    assert np.max(np.abs(forward - backward)) <= 1e-12 * forward[0]
+
+
+@given(**_LINKS)
+def test_halving_the_wavelength_keeps_the_normalized_spectrum_bitwise(T, R, ratio, pitch):
+    # At fixed T, R, D every length halves and kappa doubles exactly, so each
+    # matrix entry halves exactly and xi / xi_1 keeps every bit.
+    D = ratio * max(T, R)
+    spectra = []
+    for wavelength in (0.1, 0.05):
+        s = Scenario.normalized(T, R, D, wavelength)
+        values = svd_mode_spectrum(s, pitch * s.wavelength)
+        spectra.append((values / values[0]).tobytes())
+    assert spectra[0] == spectra[1]
 
 
 def test_svd_mode_spectrum_rejects_oversized_lattice(monkeypatch):
